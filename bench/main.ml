@@ -1786,6 +1786,7 @@ let stress_one ~seed ~bursts ~domain_counts (prof : Oracle.Stress.profile) =
       invalidations = d (fun s -> s.Engine.invalidations);
       summary_hits = d (fun s -> s.Engine.summary_hits);
       summary_builds = d (fun s -> s.Engine.summary_builds);
+      summary_units = d (fun s -> s.Engine.summary_units);
       ddg_bucket_hits = d (fun s -> s.Engine.ddg_bucket_hits);
       ddg_bucket_misses = d (fun s -> s.Engine.ddg_bucket_misses);
       summary_s = s1.Engine.summary_s -. s0.Engine.summary_s;

@@ -1,5 +1,6 @@
 open Fortran_front
 open Dependence
+module Fingerprint = Fingerprint
 
 type stats = {
   env_hits : int;
@@ -7,6 +8,7 @@ type stats = {
   invalidations : int;
   summary_hits : int;
   summary_builds : int;
+  summary_units : int;
   ddg_bucket_hits : int;
   ddg_bucket_misses : int;
   tests_run : int;
@@ -22,6 +24,7 @@ let zero_stats =
     invalidations = 0;
     summary_hits = 0;
     summary_builds = 0;
+    summary_units = 0;
     ddg_bucket_hits = 0;
     ddg_bucket_misses = 0;
     tests_run = 0;
@@ -30,7 +33,29 @@ let zero_stats =
     ddg_s = 0.;
   }
 
-type entry = { e_fp : Fingerprint.t; e_env : Depenv.t; e_ddg : Ddg.t }
+(* The current and the previous entry under one key.  Undo or redo of
+   the latest change finds its entry in the other slot (which then
+   becomes current); nothing older is kept, so memory does not grow
+   with the number of edits. *)
+type 'a slots = {
+  mutable cur : (Fingerprint.t * 'a) option;
+  mutable old : (Fingerprint.t * 'a) option;
+}
+
+let no_slots () = { cur = None; old = None }
+
+let slots_find sl fp =
+  match (sl.cur, sl.old) with
+  | Some (k, v), _ when String.equal k fp -> Some v
+  | cur, Some (k, v) when String.equal k fp ->
+    sl.cur <- sl.old;
+    sl.old <- cur;
+    Some v
+  | _ -> None
+
+let slots_add sl fp v =
+  sl.old <- sl.cur;
+  sl.cur <- Some (fp, v)
 
 (* Cross-session sharing hooks.  The engine stays ignorant of the
    cache behind them (lib/server owns the LRU/persistence policy);
@@ -62,16 +87,18 @@ type t = {
   sink : Telemetry.sink;
   mutable program : Ast.program;
   mutable asserts : Depenv.assertions;
-  (* per-unit analysis results, keyed by unit name, guarded by fingerprint *)
-  units : (string, entry) Hashtbl.t;
-  (* interprocedural summaries, keyed by whole-program fingerprint *)
-  summaries : (Fingerprint.t, Interproc.Summary.t) Hashtbl.t;
+  (* per-unit analysis results by unit name, keyed by analysis key *)
+  units : (string, (Depenv.t * Ddg.t) slots) Hashtbl.t;
+  (* interprocedural summaries, keyed by whole-program fingerprint;
+     the current one is the base the next one is updated from *)
+  summaries : Interproc.Summary.t slots;
   ddg_cache : Ddg.cache;
   c_env_hits : Telemetry.counter;
   c_env_misses : Telemetry.counter;
   c_invalidations : Telemetry.counter;
   c_summary_hits : Telemetry.counter;
   c_summary_builds : Telemetry.counter;
+  c_summary_units : Telemetry.counter;
   c_tests : Telemetry.counter;
   c_bucket_hits : Telemetry.counter;
   c_bucket_misses : Telemetry.counter;
@@ -99,7 +126,7 @@ let create ?(caching = true) ?(config = Depenv.full_config)
     program;
     asserts = Depenv.no_assertions;
     units = Hashtbl.create 8;
-    summaries = Hashtbl.create 8;
+    summaries = no_slots ();
     ddg_cache =
       (match sharing with
       | Some { sh_ddg_cache = Some cache; _ } -> cache
@@ -109,6 +136,7 @@ let create ?(caching = true) ?(config = Depenv.full_config)
     c_invalidations = c "engine.invalidations";
     c_summary_hits = c "engine.summary_hits";
     c_summary_builds = c "engine.summary_builds";
+    c_summary_units = c "engine.summary_units";
     c_tests = c "ddg.tests_executed";
     c_bucket_hits = c "ddg.bucket_hits";
     c_bucket_misses = c "ddg.bucket_misses";
@@ -132,18 +160,27 @@ let set_program t program = t.program <- program
 
 let set_assertions t asserts = t.asserts <- asserts
 
+(* A local miss (and a shared one) updates the current summary rather
+   than rebuilding: only the units the edit reaches are recomputed. *)
 let summary t : Interproc.Summary.t option =
   if not t.use_interproc then None
   else begin
-    let build () =
+    let build ~prev =
       Telemetry.incr t.c_summary_builds;
-      Telemetry.timed t.sink ~span_name:"engine.summary" t.c_summary_ns
-        (fun () -> Interproc.Summary.analyze t.program)
+      let s =
+        Telemetry.timed t.sink ~span_name:"engine.summary"
+          ~args_of:(fun s ->
+            [ ("summary_units", string_of_int (Interproc.Summary.recomputed s)) ])
+          t.c_summary_ns
+          (fun () -> Interproc.Summary.update ~prev t.program)
+      in
+      Telemetry.add t.c_summary_units (Interproc.Summary.recomputed s);
+      s
     in
-    if not t.caching then Some (build ())
+    if not t.caching then Some (build ~prev:None)
     else begin
       let key = Fingerprint.program t.program in
-      match Hashtbl.find_opt t.summaries key with
+      match slots_find t.summaries key with
       | Some s ->
         Telemetry.incr t.c_summary_hits;
         Some s
@@ -154,11 +191,11 @@ let summary t : Interproc.Summary.t option =
         | Some s ->
           (* served by another session's work *)
           Telemetry.incr t.c_summary_hits;
-          Hashtbl.replace t.summaries key s;
+          slots_add t.summaries key s;
           Some s
         | None ->
-          let s = build () in
-          Hashtbl.replace t.summaries key s;
+          let s = build ~prev:(Option.map snd t.summaries.cur) in
+          slots_add t.summaries key s;
           Option.iter (fun sh -> sh.sh_add_summary key s) t.sharing;
           Some s)
     end
@@ -207,27 +244,33 @@ let analysis t ~unit_name : (Depenv.t * Ddg.t) option =
       let fp =
         Fingerprint.analysis_key ~config:t.config ~asserts:t.asserts ~facet u
       in
-      match Hashtbl.find_opt t.units unit_name with
-      | Some e when String.equal e.e_fp fp ->
+      let slots =
+        match Hashtbl.find_opt t.units unit_name with
+        | Some sl -> sl
+        | None ->
+          let sl = no_slots () in
+          Hashtbl.replace t.units unit_name sl;
+          sl
+      in
+      match slots_find slots fp with
+      | Some r ->
         Telemetry.incr t.c_env_hits;
-        Some (e.e_env, e.e_ddg)
-      | prior -> (
+        Some r
+      | None -> (
         match Option.bind t.sharing (fun sh -> sh.sh_find_unit fp) with
-        | Some (env, ddg) ->
+        | Some r ->
           (* another session already analyzed this exact unit under
              this exact config/assertion/interproc view *)
           Telemetry.incr t.c_env_hits;
-          Hashtbl.replace t.units unit_name
-            { e_fp = fp; e_env = env; e_ddg = ddg };
-          Some (env, ddg)
+          slots_add slots fp r;
+          Some r
         | None ->
-          if prior <> None then Telemetry.incr t.c_invalidations;
+          if slots.cur <> None then Telemetry.incr t.c_invalidations;
           Telemetry.incr t.c_env_misses;
-          let env, ddg = compute_unit t summary u in
-          Hashtbl.replace t.units unit_name
-            { e_fp = fp; e_env = env; e_ddg = ddg };
-          Option.iter (fun sh -> sh.sh_add_unit fp (env, ddg)) t.sharing;
-          Some (env, ddg))
+          let r = compute_unit t summary u in
+          slots_add slots fp r;
+          Option.iter (fun sh -> sh.sh_add_unit fp r) t.sharing;
+          Some r)
     end
 
 let seconds c = float_of_int (Telemetry.value c) /. 1e9
@@ -240,6 +283,7 @@ let read t : stats =
     invalidations = Telemetry.value t.c_invalidations;
     summary_hits = Telemetry.value t.c_summary_hits;
     summary_builds = Telemetry.value t.c_summary_builds;
+    summary_units = Telemetry.value t.c_summary_units;
     ddg_bucket_hits = Telemetry.value t.c_bucket_hits;
     ddg_bucket_misses = Telemetry.value t.c_bucket_misses;
     tests_run = Telemetry.value t.c_tests;
@@ -256,6 +300,7 @@ let stats t : stats =
     invalidations = s.invalidations - b.invalidations;
     summary_hits = s.summary_hits - b.summary_hits;
     summary_builds = s.summary_builds - b.summary_builds;
+    summary_units = s.summary_units - b.summary_units;
     ddg_bucket_hits = s.ddg_bucket_hits - b.ddg_bucket_hits;
     ddg_bucket_misses = s.ddg_bucket_misses - b.ddg_bucket_misses;
     tests_run = s.tests_run - b.tests_run;

@@ -3,22 +3,30 @@
     The session hands the engine a program and asks it for analysis
     results ({!analysis}); the engine decides what actually needs
     recomputing.  Three cache layers, each guarded by a content
-    fingerprint (MD5 of the marshalled data — the AST is pure data):
+    fingerprint (MD5 of data marshalled without sharing — the AST is
+    pure data — with each unit's digest memoised by the physical
+    identity of the unit value):
 
     - {e interprocedural summaries}, keyed by the whole-program
-      fingerprint, so undo/redo — which restore a previous program
-      value — hit without any invalidation protocol;
-    - {e per-unit scalar environments and dependence graphs}, keyed by
-      unit name and guarded by a fingerprint of the unit's statements,
-      the analysis configuration, the user's assertions, and the
-      unit's {e view} of the interprocedural summary (per-CALL
-      effects, section pseudo-references, formal constants, alias
-      pairs) — a summary rebuild that left this view intact does not
-      invalidate the unit;
+      fingerprint (the digest of the ordered unit digests).  A miss
+      updates the current summary ({!Interproc.Summary.update}), so
+      only the units an edit reaches are recomputed;
+    - {e per-unit scalar environments and dependence graphs}, per unit
+      name, keyed by a fingerprint of the unit's statements, the
+      analysis configuration, the user's assertions, and the unit's
+      {e view} of the interprocedural summary (per-CALL effects,
+      section pseudo-references, formal constants, alias pairs) — a
+      summary update that left this view intact does not invalidate
+      the unit;
     - {e dependence-test buckets} inside {!Dependence.Ddg}, so that
       when a unit {e is} recomputed, only the loop nests whose
       statements or reaching scalar environment changed get their
       pair tests re-run.
+
+    The summary table and each unit name keep two entries, the
+    current and the previous one, so undo or redo of the latest change
+    is a hit in both, and memory does not grow with the number of
+    edits.
 
     All mutation funnels through {!set_program} and
     {!set_assertions}; nothing recomputes eagerly, stale entries are
@@ -28,6 +36,29 @@
 
 open Fortran_front
 open Dependence
+
+(** The content keys guarding the engine's tables.  Canonical: equal
+    content gives equal keys whatever the heap sharing of the values
+    that carry it. *)
+module Fingerprint : sig
+  type t = Digest.t
+
+  (** Digest of the ordered unit digests. *)
+  val program : Ast.program -> t
+
+  (** What a unit's analysis observes of a summary: the call oracle
+      and section pseudo-references at every CALL, its formal
+      constants and its alias pairs. *)
+  val interproc_facet : Interproc.Summary.t -> Ast.program_unit -> t
+
+  (** The unit's content, configuration, assertions and facet. *)
+  val analysis_key :
+    config:Depenv.config ->
+    asserts:Depenv.assertions ->
+    facet:t option ->
+    Ast.program_unit ->
+    t
+end
 
 type t
 
@@ -40,6 +71,7 @@ type stats = {
   invalidations : int;   (** misses caused by a stale cached entry *)
   summary_hits : int;
   summary_builds : int;
+  summary_units : int;   (** units recomputed by summary builds *)
   ddg_bucket_hits : int;
   ddg_bucket_misses : int;
   tests_run : int;       (** dependence pair tests actually executed *)

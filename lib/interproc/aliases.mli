@@ -15,7 +15,13 @@ type t
 
 type kind = Aligned | May
 
+(** From scratch: [update (Cutoff.scratch cg) ~prev:None]. *)
 val compute : Callgraph.t -> t
+
+(** Alias pairs of the context's program, callers first, reusing from
+    [prev] those of units whose call sites and callers' pairs are
+    unchanged. *)
+val update : Cutoff.ctx -> prev:t option -> t
 
 (** Alias pairs among a unit's formals/COMMON names. *)
 val pairs_of : t -> string -> (string * string * kind) list

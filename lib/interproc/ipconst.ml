@@ -18,64 +18,46 @@ let eval_actual tbl caller_consts (e : Ast.expr) : int option =
   | Some (Constants.Cint n) -> Some n
   | _ -> None
 
-let compute (cg : Callgraph.t) : t =
-  let consts : (string, (string * int) list) Hashtbl.t = Hashtbl.create 16 in
-  let tables = Hashtbl.create 16 in
-  List.iter
-    (fun name ->
-      match Callgraph.unit_named cg name with
-      | Some u -> Hashtbl.replace tables name (Symbol.build u)
-      | None -> ())
-    (Callgraph.unit_names cg);
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < 10 do
-    changed := false;
-    incr rounds;
-    List.iter
-      (fun callee ->
-        match Callgraph.formals_of cg callee with
-        | None | Some [] -> ()
-        | Some formals ->
-          let sites = Callgraph.sites_to cg callee in
-          if sites <> [] then begin
-            (* a formal is constant iff all sites agree on a value *)
-            let per_formal =
-              List.mapi
-                (fun i f ->
-                  let vals =
-                    List.map
-                      (fun (site : Callgraph.site) ->
-                        match
-                          (Hashtbl.find_opt tables site.Callgraph.caller,
-                           List.nth_opt site.Callgraph.actuals i)
-                        with
-                        | Some tbl, Some a ->
-                          let caller_consts =
-                            Option.value ~default:[]
-                              (Hashtbl.find_opt consts site.Callgraph.caller)
-                          in
-                          eval_actual tbl caller_consts a
-                        | _ -> None)
-                      sites
-                  in
-                  match vals with
-                  | Some v :: rest
-                    when List.for_all (fun x -> x = Some v) rest ->
-                    Some (f, v)
-                  | _ -> None)
-                formals
-              |> List.filter_map Fun.id
-            in
-            let old = Option.value ~default:[] (Hashtbl.find_opt consts callee) in
-            if per_formal <> old then begin
-              Hashtbl.replace consts callee per_formal;
-              changed := true
-            end
-          end)
-      (Callgraph.unit_names cg)
-  done;
-  { consts }
+(* A formal is constant iff every site passes it the same value. *)
+let unit_consts ctx ~lookup (u : Ast.program_unit) : (string * int) list =
+  let cg = Cutoff.callgraph ctx in
+  match Callgraph.formals_of cg u.Ast.uname with
+  | None | Some [] -> []
+  | Some formals ->
+    let sites = Callgraph.sites_to cg u.Ast.uname in
+    List.mapi
+      (fun i f ->
+        let vals =
+          List.map
+            (fun (site : Callgraph.site) ->
+              match
+                ( Callgraph.unit_named cg site.Callgraph.caller,
+                  List.nth_opt site.Callgraph.actuals i )
+              with
+              | Some caller, Some a ->
+                let caller_consts =
+                  Option.value ~default:[] (lookup site.Callgraph.caller)
+                in
+                eval_actual (Cutoff.table ctx caller) caller_consts a
+              | _ -> None)
+            sites
+        in
+        match vals with
+        | Some v :: rest when List.for_all (fun x -> x = Some v) rest ->
+          Some (f, v)
+        | _ -> None)
+      formals
+    |> List.filter_map Fun.id
+
+let update ctx ~(prev : t option) : t =
+  {
+    consts =
+      Cutoff.top_down ctx
+        ~prev:(Option.map (fun p -> p.consts) prev)
+        ~equal:( = ) (unit_consts ctx);
+  }
+
+let compute cg = update (Cutoff.scratch cg) ~prev:None
 
 let constants_of t name =
   Option.value ~default:[] (Hashtbl.find_opt t.consts name)

@@ -10,14 +10,15 @@ type t = {
 (* Must-defined-so-far forward analysis over the unit CFG.  The
    lattice is sets of variable names under intersection; [None]
    represents "unvisited" (top). *)
-let unit_kills (cg : Callgraph.t) (kills : (string, SSet.t) Hashtbl.t)
-    (u : Ast.program_unit) : SSet.t =
-  let tbl = Symbol.build u in
+let unit_kills ctx ~lookup (u : Ast.program_unit) : SSet.t =
+  let cg = Cutoff.callgraph ctx in
+  let tbl = Cutoff.table ctx u in
   let oracle (s : Ast.stmt) =
     match s.Ast.node with
     | Ast.Call (callee, actuals) -> (
-      match (Hashtbl.find_opt kills callee, Callgraph.formals_of cg callee) with
-      | Some callee_kills, Some formals ->
+      (* a callee that kills nothing gets no oracle entry at all *)
+      match (lookup callee, Callgraph.formals_of cg callee) with
+      | Some callee_kills, Some formals when not (SSet.is_empty callee_kills) ->
         let killed_actuals =
           SSet.fold
             (fun name acc ->
@@ -113,30 +114,15 @@ let unit_kills (cg : Callgraph.t) (kills : (string, SSet.t) Hashtbl.t)
     (fun v -> candidate v && not (SSet.mem v upward_exposed))
     md_exit
 
-let compute (cg : Callgraph.t) (_modref : Modref.t) : t =
-  let kills = Hashtbl.create 16 in
-  let units = Callgraph.bottom_up cg in
-  (* two bottom-up passes reach a fixed point for acyclic call graphs;
-     iterate until stable to be safe *)
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < 10 do
-    changed := false;
-    incr rounds;
-    List.iter
-      (fun name ->
-        match Callgraph.unit_named cg name with
-        | None -> ()
-        | Some u ->
-          let k = unit_kills cg kills u in
-          let old = Option.value ~default:SSet.empty (Hashtbl.find_opt kills name) in
-          if not (SSet.equal k old) then begin
-            Hashtbl.replace kills name k;
-            changed := true
-          end)
-      units
-  done;
-  { cg; kills }
+let update ctx ~(prev : t option) : t =
+  let kills =
+    Cutoff.bottom_up ctx
+      ~prev:(Option.map (fun p -> p.kills) prev)
+      ~equal:SSet.equal (unit_kills ctx)
+  in
+  { cg = Cutoff.callgraph ctx; kills }
+
+let compute cg (_modref : Modref.t) = update (Cutoff.scratch cg) ~prev:None
 
 let kills_of t name =
   match Hashtbl.find_opt t.kills name with

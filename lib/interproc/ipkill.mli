@@ -10,9 +10,13 @@ open Fortran_front
 
 type t
 
-(** [compute cg modref] — fixed point over the call graph so kills
+(** [compute cg modref] — from scratch, callees first, so kills
     propagate through wrapper routines. *)
 val compute : Callgraph.t -> Modref.t -> t
+
+(** Kills of the context's program, reusing from [prev] those of units
+    whose content and callees' kills are unchanged. *)
+val update : Cutoff.ctx -> prev:t option -> t
 
 (** Scalars (formals and COMMON variables, callee name space) killed
     by the unit. *)

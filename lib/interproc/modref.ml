@@ -4,11 +4,7 @@ module SSet = Set.Make (String)
 
 type summary = { mods : SSet.t; refs : SSet.t }
 
-type t = {
-  cg : Callgraph.t;
-  summaries : (string, summary) Hashtbl.t;
-  tables : (string, Symbol.table) Hashtbl.t;
-}
+type t = { cg : Callgraph.t; summaries : (string, summary) Hashtbl.t }
 
 let visible tbl name =
   (* only formals and COMMON variables are externally visible *)
@@ -62,96 +58,18 @@ let translate_set (names : SSet.t) ~(formals : string list)
         name :: acc)
     names []
 
-let compute (cg : Callgraph.t) : t =
-  let summaries = Hashtbl.create 16 in
-  let tables = Hashtbl.create 16 in
-  let units =
-    List.filter_map (Callgraph.unit_named cg) (Callgraph.unit_names cg)
-  in
-  List.iter
-    (fun (u : Ast.program_unit) ->
-      let tbl = Symbol.build u in
-      Hashtbl.replace tables u.Ast.uname tbl;
-      Hashtbl.replace summaries u.Ast.uname (local_effects tbl u))
-    units;
-  (* propagate call effects to a fixed point *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (site : Callgraph.site) ->
-        match
-          ( Hashtbl.find_opt summaries site.Callgraph.caller,
-            Hashtbl.find_opt tables site.Callgraph.caller )
-        with
-        | Some caller_sum, Some caller_tbl ->
-          let effect_mods, effect_refs =
-            match
-              ( Hashtbl.find_opt summaries site.Callgraph.callee,
-                Callgraph.formals_of cg site.Callgraph.callee )
-            with
-            | Some callee_sum, Some formals ->
-              ( translate_set callee_sum.mods ~formals
-                  ~actuals:site.Callgraph.actuals ~tbl:caller_tbl
-                  ~for_mods:true,
-                translate_set callee_sum.refs ~formals
-                  ~actuals:site.Callgraph.actuals ~tbl:caller_tbl
-                  ~for_mods:false )
-            | _ ->
-              (* external callee: worst case *)
-              let bases =
-                List.filter_map (actual_base caller_tbl) site.Callgraph.actuals
-              in
-              let commons =
-                List.filter_map
-                  (fun (i : Symbol.info) ->
-                    if i.common <> None then Some i.name else None)
-                  (Symbol.infos caller_tbl)
-              in
-              ( bases @ commons,
-                List.concat_map vars_of_actual site.Callgraph.actuals @ commons
-              )
-          in
-          let add_visible set names =
-            List.fold_left
-              (fun s n -> if visible caller_tbl n then SSet.add n s else s)
-              set names
-          in
-          let next =
-            {
-              mods = add_visible caller_sum.mods effect_mods;
-              refs = add_visible caller_sum.refs effect_refs;
-            }
-          in
-          if
-            not
-              (SSet.equal next.mods caller_sum.mods
-              && SSet.equal next.refs caller_sum.refs)
-          then begin
-            Hashtbl.replace summaries site.Callgraph.caller next;
-            changed := true
-          end
-        | _ -> ())
-      (Callgraph.sites cg)
-  done;
-  { cg; summaries; tables }
-
-let summary_of t name = Hashtbl.find_opt t.summaries name
-
-let translate t ~(site : Callgraph.site) ~tbl =
+(* The effect of one call site on the caller: the callee's summary
+   translated through the site, or the worst case for an unknown
+   callee (every modifiable actual and every COMMON variable). *)
+let site_effects cg ~lookup tbl (site : Callgraph.site) =
   match
-    (summary_of t site.Callgraph.callee, Callgraph.formals_of t.cg site.Callgraph.callee)
+    (lookup site.Callgraph.callee, Callgraph.formals_of cg site.Callgraph.callee)
   with
   | Some callee_sum, Some formals ->
-    let mods =
-      translate_set callee_sum.mods ~formals ~actuals:site.Callgraph.actuals
-        ~tbl ~for_mods:true
-    in
-    let refs =
+    ( translate_set callee_sum.mods ~formals ~actuals:site.Callgraph.actuals
+        ~tbl ~for_mods:true,
       translate_set callee_sum.refs ~formals ~actuals:site.Callgraph.actuals
-        ~tbl ~for_mods:false
-    in
-    (List.sort_uniq String.compare mods, List.sort_uniq String.compare refs)
+        ~tbl ~for_mods:false )
   | _ ->
     let bases = List.filter_map (actual_base tbl) site.Callgraph.actuals in
     let commons =
@@ -159,6 +77,43 @@ let translate t ~(site : Callgraph.site) ~tbl =
         (fun (i : Symbol.info) -> if i.common <> None then Some i.name else None)
         (Symbol.infos tbl)
     in
-    ( List.sort_uniq String.compare (bases @ commons),
-      List.sort_uniq String.compare
-        (List.concat_map vars_of_actual site.Callgraph.actuals @ commons) )
+    (bases @ commons, List.concat_map vars_of_actual site.Callgraph.actuals @ commons)
+
+(* A unit's summary: its local effects plus the visible effects of
+   every call it makes. *)
+let unit_summary ctx ~lookup (u : Ast.program_unit) : summary =
+  let cg = Cutoff.callgraph ctx in
+  let tbl = Cutoff.table ctx u in
+  let add_visible set names =
+    List.fold_left
+      (fun s n -> if visible tbl n then SSet.add n s else s)
+      set names
+  in
+  List.fold_left
+    (fun acc site ->
+      let mods, refs = site_effects cg ~lookup tbl site in
+      { mods = add_visible acc.mods mods; refs = add_visible acc.refs refs })
+    (local_effects tbl u)
+    (Callgraph.sites_in cg u.Ast.uname)
+
+let equal_summary a b = SSet.equal a.mods b.mods && SSet.equal a.refs b.refs
+
+let update ctx ~(prev : t option) : t =
+  let summaries =
+    (* recursion: members start from their local effects, which only
+       grow, so the iteration reaches the least fixed point *)
+    Cutoff.bottom_up ctx
+      ~prev:(Option.map (fun p -> p.summaries) prev)
+      ~equal:equal_summary
+      ~seed:(fun u -> Some (local_effects (Cutoff.table ctx u) u))
+      ~max_rounds:max_int (unit_summary ctx)
+  in
+  { cg = Cutoff.callgraph ctx; summaries }
+
+let compute cg = update (Cutoff.scratch cg) ~prev:None
+
+let summary_of t name = Hashtbl.find_opt t.summaries name
+
+let translate t ~(site : Callgraph.site) ~tbl =
+  let mods, refs = site_effects t.cg ~lookup:(summary_of t) tbl site in
+  (List.sort_uniq String.compare mods, List.sort_uniq String.compare refs)

@@ -19,7 +19,12 @@ type summary = { mods : SSet.t; refs : SSet.t }
 
 type t
 
+(** From scratch: [update (Cutoff.scratch cg) ~prev:None]. *)
 val compute : Callgraph.t -> t
+
+(** Summaries of the context's program, reusing from [prev] those of
+    units whose content and callees' summaries are unchanged. *)
+val update : Cutoff.ctx -> prev:t option -> t
 
 (** Summary of a unit; [None] for external routines (assume worst). *)
 val summary_of : t -> string -> summary option

@@ -194,10 +194,9 @@ let translate_access (cg : Callgraph.t) tbl (site : Callgraph.site)
 (* Per-unit summary                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let unit_summary (cg : Callgraph.t)
-    (summaries : (string, (string * access) list) Hashtbl.t)
-    (u : Ast.program_unit) : (string * access) list =
-  let tbl = Symbol.build u in
+let unit_summary cx ~lookup (u : Ast.program_unit) : (string * access) list =
+  let cg = Cutoff.callgraph cx in
+  let tbl = Cutoff.table cx u in
   let ctx = Defuse.make tbl u in
   let nest = Dependence.Loopnest.build u in
   let visible name =
@@ -234,9 +233,7 @@ let unit_summary (cg : Callgraph.t)
           { Callgraph.caller = u.Ast.uname; callee; call_sid = s.Ast.sid;
             actuals }
         in
-        let callee_summary =
-          Option.value ~default:[] (Hashtbl.find_opt summaries callee)
-        in
+        let callee_summary = lookup callee in
         List.iter
           (fun (arr, acc) ->
             match translate_access cg tbl site arr acc with
@@ -267,9 +264,9 @@ let unit_summary (cg : Callgraph.t)
                   sec_r = Option.map widen_sec acc.sec_r;
                 }
             | _ -> ())
-          callee_summary;
+          (Option.value ~default:[] callee_summary);
         (* unknown callee: every array actual and COMMON array is Star *)
-        if not (Hashtbl.mem summaries callee) then begin
+        if Option.is_none callee_summary then begin
           let star_for a =
             let rank = max 1 (List.length (Symbol.array_dims tbl a)) in
             let sec = List.init rank (fun _ -> Star) in
@@ -293,27 +290,15 @@ let unit_summary (cg : Callgraph.t)
   Hashtbl.fold (fun a acc l -> (a, acc) :: l) table []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let compute (cg : Callgraph.t) : t =
-  let summaries = Hashtbl.create 16 in
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < 10 do
-    changed := false;
-    incr rounds;
-    List.iter
-      (fun name ->
-        match Callgraph.unit_named cg name with
-        | None -> ()
-        | Some u ->
-          let s = unit_summary cg summaries u in
-          let old = Hashtbl.find_opt summaries name in
-          if old <> Some s then begin
-            Hashtbl.replace summaries name s;
-            changed := true
-          end)
-      (Callgraph.bottom_up cg)
-  done;
-  { cg; summaries }
+let update ctx ~(prev : t option) : t =
+  let summaries =
+    Cutoff.bottom_up ctx
+      ~prev:(Option.map (fun p -> p.summaries) prev)
+      ~equal:( = ) (unit_summary ctx)
+  in
+  { cg = Cutoff.callgraph ctx; summaries }
+
+let compute cg = update (Cutoff.scratch cg) ~prev:None
 
 let summary_of t name =
   Option.value ~default:[] (Hashtbl.find_opt t.summaries name)

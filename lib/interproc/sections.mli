@@ -25,7 +25,12 @@ type access = { sec_w : section option; sec_r : section option }
 
 type t
 
+(** From scratch: [update (Cutoff.scratch cg) ~prev:None]. *)
 val compute : Callgraph.t -> t
+
+(** Summaries of the context's program, reusing from [prev] those of
+    units whose content and callees' summaries are unchanged. *)
+val update : Cutoff.ctx -> prev:t option -> t
 
 (** Per-array accesses of a unit (callee name space). *)
 val summary_of : t -> string -> (string * access) list

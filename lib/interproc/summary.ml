@@ -3,21 +3,36 @@ open Scalar_analysis
 
 type t = {
   cg : Callgraph.t;
+  stamp : Cutoff.stamp;
   modref_ : Modref.t;
   kills_ : Ipkill.t;
   sections_ : Sections.t;
   ipconst_ : Ipconst.t;
   aliases_ : Aliases.t;
+  recomputed_ : int;
 }
 
-let analyze (prog : Ast.program) : t =
-  let cg = Callgraph.build prog in
-  let modref_ = Modref.compute cg in
-  let kills_ = Ipkill.compute cg modref_ in
-  let sections_ = Sections.compute cg in
-  let ipconst_ = Ipconst.compute cg in
-  let aliases_ = Aliases.compute cg in
-  { cg; modref_; kills_; sections_; ipconst_; aliases_ }
+(* Bottom-up analyses first (callees before callers), then top-down
+   ones (callers before callees); each reuses from [prev] whatever the
+   edit did not reach.  The result never points back at [prev]. *)
+let update ~(prev : t option) (prog : Ast.program) : t =
+  let cg = Callgraph.build ?prev:(Option.map (fun p -> p.cg) prev) prog in
+  let stamp = Cutoff.stamp prog in
+  let ctx =
+    Cutoff.make cg stamp ~prev:(Option.map (fun p -> (p.cg, p.stamp)) prev)
+  in
+  let part f = Option.map f prev in
+  let modref_ = Modref.update ctx ~prev:(part (fun p -> p.modref_)) in
+  let kills_ = Ipkill.update ctx ~prev:(part (fun p -> p.kills_)) in
+  let sections_ = Sections.update ctx ~prev:(part (fun p -> p.sections_)) in
+  let ipconst_ = Ipconst.update ctx ~prev:(part (fun p -> p.ipconst_)) in
+  let aliases_ = Aliases.update ctx ~prev:(part (fun p -> p.aliases_)) in
+  {
+    cg; stamp; modref_; kills_; sections_; ipconst_; aliases_;
+    recomputed_ = Cutoff.recomputed ctx;
+  }
+
+let analyze prog = update ~prev:None prog
 
 let callgraph t = t.cg
 let modref t = t.modref_
@@ -25,6 +40,7 @@ let kills t = t.kills_
 let sections t = t.sections_
 let ipconst t = t.ipconst_
 let aliases t = t.aliases_
+let recomputed t = t.recomputed_
 
 let site_of (u : Ast.program_unit) (s : Ast.stmt) : Callgraph.site option =
   match s.Ast.node with

@@ -19,6 +19,13 @@ let components =
          (Domain.DLS), so concurrent emission never tears";
     };
     {
+      comp = "Interproc.Unit_digest memo";
+      safety = Guarded;
+      notes =
+        "weak table of per-unit content digests, keyed by physical \
+         identity; every probe and insert holds its mutex";
+    };
+    {
       comp = "Server.Cache keyed table";
       safety = Guarded;
       notes = "every lookup/insert/eviction holds the cache mutex";

@@ -224,7 +224,8 @@ let with_lane s lane f =
     Fun.protect ~finally:(fun () -> log.l_lane <- prev) f
   end
 
-let close_span = function
+(* [args] are appended to those the span was opened with. *)
+let close_with args = function
   | Off -> ()
   | On fr -> (
     let log = fr.f_log in
@@ -240,7 +241,7 @@ let close_span = function
           sp_lane = fr.f_lane;
           sp_t0 = fr.f_t0;
           sp_t1 = now_ns ();
-          sp_args = fr.f_args;
+          sp_args = fr.f_args @ args;
         }
         :: log.l_done
     | _ ->
@@ -249,13 +250,15 @@ let close_span = function
            (Printf.sprintf "close_span: %S is not the innermost open span"
               fr.f_name)))
 
+let close_span sc = close_with [] sc
+
 let span s ?args name f =
   if not s.s_rec then f ()
   else
     let sc = open_span s ?args name in
     Fun.protect ~finally:(fun () -> close_span sc) f
 
-let timed s ?span_name c f =
+let timed s ?span_name ?(args_of = fun _ -> []) c f =
   if not (c.c_live || s.s_rec) then f ()
   else
     let sc =
@@ -264,11 +267,18 @@ let timed s ?span_name c f =
       | _ -> Off
     in
     let t0 = now_ns () in
-    Fun.protect
-      ~finally:(fun () ->
-        add_ns c (Int64.sub (now_ns ()) t0);
-        close_span sc)
-      f
+    let stop args =
+      add_ns c (Int64.sub (now_ns ()) t0);
+      close_with args sc
+    in
+    match f () with
+    | r ->
+      stop (match sc with Off -> [] | On _ -> args_of r);
+      r
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      stop [];
+      Printexc.raise_with_backtrace e bt
 
 let spans s =
   let logs = locked s (fun () -> !(s.s_logs)) in

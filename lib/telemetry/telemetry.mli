@@ -115,9 +115,15 @@ val close_span : scope -> unit
 
 (** [timed s c f] accumulates the monotonic duration of [f] into
     counter [c]; when [span_name] is given and [s] is recording, the
-    interval is also emitted as a span.  Compiles to just [f ()]
-    against {!null}. *)
-val timed : sink -> ?span_name:string -> counter -> (unit -> 'a) -> 'a
+    interval is also emitted as a span, carrying [args_of] of [f]'s
+    result as arguments.  Compiles to just [f ()] against {!null}. *)
+val timed :
+  sink ->
+  ?span_name:string ->
+  ?args_of:('a -> (string * string) list) ->
+  counter ->
+  (unit -> 'a) ->
+  'a
 
 (** [with_lane s lane f] — label every span the calling domain opens
     on [s] during [f] with [lane] (nests; the previous lane is

@@ -144,6 +144,124 @@ let suite =
           check_bool "invalidated" true
             (delta s0 s1 (fun s -> s.Engine.invalidations) >= 1);
           check_scratch "assert" sess);
+      case "stats: undo and redo of an edit hit every cache" (fun () ->
+          let _, sess = load "jacobi" in
+          identity_edit sess;
+          let s0 = Ped.Session.engine_stats sess in
+          ok_exn "undo" (Ped.Session.undo sess);
+          let s1 = Ped.Session.engine_stats sess in
+          check_int "undo: no env miss" 0
+            (delta s0 s1 (fun s -> s.Engine.env_misses));
+          check_int "undo: no summary build" 0
+            (delta s0 s1 (fun s -> s.Engine.summary_builds));
+          check_scratch "undo" sess;
+          ok_exn "redo" (Ped.Session.redo sess);
+          let s2 = Ped.Session.engine_stats sess in
+          check_int "redo: no env miss" 0
+            (delta s1 s2 (fun s -> s.Engine.env_misses));
+          check_int "redo: no summary build" 0
+            (delta s1 s2 (fun s -> s.Engine.summary_builds));
+          check_scratch "redo" sess);
+      case "stats: a leaf edit recomputes one summary unit" (fun () ->
+          let program =
+            match Workloads.stress "stress:many-units@smoke" with
+            | Ok p -> p
+            | Error e -> failwith e
+          in
+          let calls_nothing (u : Ast.program_unit) =
+            Ast.fold_stmts
+              (fun acc (s : Ast.stmt) ->
+                acc && match s.Ast.node with Ast.Call _ -> false | _ -> true)
+              true u.Ast.body
+          in
+          let leaf =
+            List.find
+              (fun (u : Ast.program_unit) ->
+                u.Ast.kind <> Ast.Main && calls_nothing u)
+              program.Ast.punits
+          in
+          let sink = Telemetry.make ~record_spans:true () in
+          let sess =
+            Ped.Session.load ~telemetry:sink program ~unit_name:leaf.Ast.uname
+          in
+          let s0 = Ped.Session.engine_stats sess in
+          ignore (Telemetry.drain_spans sink);
+          (match first_assign sess with
+          | None -> failwith "leaf has no assignment"
+          | Some s ->
+            ok_exn "edit"
+              (Ped.Session.edit_stmt sess s.Ast.sid
+                 (Pretty.stmt_to_string s ^ " + 1")));
+          let s1 = Ped.Session.engine_stats sess in
+          check_int "summary built" 1
+            (delta s0 s1 (fun s -> s.Engine.summary_builds));
+          check_int "summary units" 1
+            (delta s0 s1 (fun s -> s.Engine.summary_units));
+          check_bool "engine.summary span carries the count" true
+            (List.exists
+               (fun (r : Telemetry.span_record) ->
+                 r.Telemetry.sp_name = "engine.summary"
+                 && List.assoc_opt "summary_units" r.Telemetry.sp_args = Some "1")
+               (Telemetry.drain_spans sink));
+          check_scratch "leaf edit" sess);
+      case "fingerprint: keys survive deep copies and incremental summaries"
+        (fun () ->
+          (* a deep copy that also drops every sharing *)
+          let copy v =
+            Marshal.from_string (Marshal.to_string v [ Marshal.No_sharing ]) 0
+          in
+          (* one string shared by two assertions: a copy holds two *)
+          let n = "N" in
+          let asserts =
+            {
+              Depenv.no_assertions with
+              Depenv.asserted_values = [ (n, 8) ];
+              asserted_ranges = [ (n, 1, 8) ];
+            }
+          in
+          let key s u asserts =
+            Engine.Fingerprint.analysis_key ~config:Depenv.full_config ~asserts
+              ~facet:(Some (Engine.Fingerprint.interproc_facet s u)) u
+          in
+          List.iter
+            (fun (w : Workloads.t) ->
+              let p = Workloads.program w in
+              let summary = Interproc.Summary.analyze p in
+              let summary' : Interproc.Summary.t = copy summary in
+              (* the same program reached by an update from a version
+                 with an edited main unit, reusing the other units' parts *)
+              let edited =
+                {
+                  Ast.punits =
+                    List.map
+                      (fun (u : Ast.program_unit) ->
+                        if u.Ast.kind <> Ast.Main then u
+                        else
+                          { u with Ast.body = u.Ast.body @ [ Ast.mk Ast.Continue ] })
+                      p.Ast.punits;
+                }
+              in
+              let updated =
+                Interproc.Summary.update
+                  ~prev:(Some (Interproc.Summary.analyze edited))
+                  p
+              in
+              check_bool (w.Workloads.name ^ ": program key") true
+                (Engine.Fingerprint.program p
+                = Engine.Fingerprint.program (copy p));
+              List.iter
+                (fun (u : Ast.program_unit) ->
+                  let u' : Ast.program_unit = copy u in
+                  let what = w.Workloads.name ^ "/" ^ u.Ast.uname in
+                  let f = Engine.Fingerprint.interproc_facet summary u in
+                  check_bool (what ^ ": facet of copies") true
+                    (f = Engine.Fingerprint.interproc_facet summary' u');
+                  check_bool (what ^ ": facet of update") true
+                    (f = Engine.Fingerprint.interproc_facet updated u);
+                  check_bool (what ^ ": analysis key of copies") true
+                    (key summary u asserts = key summary' u' (copy asserts)))
+                p.Ast.punits)
+            Workloads.all);
       case "baseline mode recomputes everything" (fun () ->
           let _, sess = load ~caching:false "matmul" in
           let full = (Ped.Session.engine_stats sess).Engine.tests_run in
