@@ -24,6 +24,21 @@ let read_file path =
   close_in ic;
   src
 
+(* A source file as a program.  A file that cannot be read or parsed
+   ends the run with a located message and exit status 1. *)
+let parse_file path =
+  match Parser.parse_program_result ~file:path (read_file path) with
+  | Ok { Ast.punits = [] } ->
+    prerr_endline (path ^ ": empty program");
+    exit 1
+  | Ok program -> program
+  | Error msg ->
+    prerr_endline msg;
+    exit 1
+  | exception Sys_error msg ->
+    prerr_endline msg;
+    exit 1
+
 let run_session sess script ~engine_stats =
   (match script with
   | Some path ->
@@ -120,8 +135,7 @@ let build_predictor ?telemetry (program : Ast.program) =
 let targets file workload =
   match (file, workload) with
   | Some path, _ ->
-    [ (Filename.basename path,
-       Parser.parse_program ~file:path (read_file path), []) ]
+    [ (Filename.basename path, parse_file path, []) ]
   | None, Some wname when Workloads.is_stress_name wname -> (
     match Workloads.stress wname with
     | Ok p -> [ (wname, p, []) ]
@@ -425,10 +439,6 @@ let main file workload unit_name script no_interproc exec domains schedule
        sees the worker lanes of a fully shut-down pool *)
     let with_runner f =
       if analysis_domains <= 1 then f None
-      else if not Server.Audit.parallel_analysis then begin
-        prerr_endline (Server.Audit.refuse_parallel_analysis ~what:"ped");
-        exit 2
-      end
       else
         Runtime.Pool.with_pool ?telemetry:sink analysis_domains (fun pool ->
             f (Some (Runtime.Pool.analysis_runner pool)))
@@ -437,9 +447,14 @@ let main file workload unit_name script no_interproc exec domains schedule
         let sess =
           match (file, workload) with
           | Some path, _ ->
-            Ped.Session.load_source ~interproc ?runner ?telemetry:sink
-              ~file:path (read_file path)
-              ~unit_name:(Option.map String.uppercase_ascii unit_name)
+            let program = parse_file path in
+            let unit_name =
+              match unit_name with
+              | Some u -> String.uppercase_ascii u
+              | None -> main_unit_of program
+            in
+            Ped.Session.load ~interproc ?runner ?telemetry:sink program
+              ~unit_name
           | None, Some wname when Workloads.is_stress_name wname -> (
             match Workloads.stress wname with
             | Ok program ->

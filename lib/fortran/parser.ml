@@ -726,6 +726,14 @@ let parse_program ~file src : Ast.program =
   in
   { Ast.punits = go [] }
 
+let parse_program_result ~file src =
+  match parse_program ~file src with
+  | program -> Ok program
+  | exception Error (msg, loc) ->
+    Error (Format.asprintf "syntax error at %a: %s" Loc.pp loc msg)
+  | exception Lexer.Error (msg, loc) ->
+    Error (Format.asprintf "lexical error at %a: %s" Loc.pp loc msg)
+
 let parse_expr_string s =
   let toks = Array.of_list (Lexer.tokenize ~file:"<expr>" s) in
   let st = { toks; cur = 0; last_terminator = None; newline_done = false } in

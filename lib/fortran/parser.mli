@@ -22,6 +22,10 @@ exception Error of string * Loc.t
     @raise Lexer.Error on a lexical error. *)
 val parse_program : file:string -> string -> Ast.program
 
+(** {!parse_program} with a syntax or lexical error returned as its
+    located message, e.g. ["syntax error at f.f:3:12: expected )"]. *)
+val parse_program_result : file:string -> string -> (Ast.program, string) result
+
 (** [parse_expr_string s] parses a single expression, as typed by a
     user into the editor (assertions, filter predicates).
     @raise Error if [s] is not exactly one expression. *)

@@ -1,17 +1,14 @@
 open Fortran_front
 open Scalar_analysis
 module V = Sim.Value
-module Abi = Sim.Abi
+module Store = Sim.Store
+module Eval = Sim.Eval
 
-exception Runtime_error of string
-
-let err fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
+exception Runtime_error = Eval.Runtime_error
 
 (* raised by a worker to cancel the remaining iterations after a
    GOTO/RETURN/STOP escaped the loop body; never escapes this module *)
 exception Abort_loop
-
-type unit_info = { u : Ast.program_unit; tbl : Symbol.table }
 
 type conflict_kind = Flow | Anti | Output
 
@@ -42,66 +39,36 @@ let conflict_to_string c =
     | Predicted id -> Printf.sprintf " [predicted by static dep #%d]" id
     | Unpredicted -> " [UNPREDICTED by the static analysis]")
 
-type ops = {
-  mutable o_flops : int;
-  mutable o_mems : int;
-  mutable o_intr : int;
-  mutable o_iters : int;
-  mutable o_calls : int;
-}
-
-let fresh_ops () =
-  { o_flops = 0; o_mems = 0; o_intr = 0; o_iters = 0; o_calls = 0 }
-
-let add_ops dst src =
-  dst.o_flops <- dst.o_flops + src.o_flops;
-  dst.o_mems <- dst.o_mems + src.o_mems;
-  dst.o_intr <- dst.o_intr + src.o_intr;
-  dst.o_iters <- dst.o_iters + src.o_iters;
-  dst.o_calls <- dst.o_calls + src.o_calls
-
+(* State shared by every context of one run. *)
 type global = {
-  units : (string, unit_info) Hashtbl.t;
-  commons : (string, Store.slot) Hashtbl.t;
-      (* pre-allocated before execution starts: workers only read this
-         table, so callee frames can be built inside parallel regions *)
   plans : (Ast.stmt_id, Plan.t) Hashtbl.t;
-  pool : Pool.t option;  (* None in validate mode *)
   schedule : Pool.schedule;
-  validate : bool;
   predict : (Ast.stmt_id -> string -> conflict_kind -> int option) option;
       (* maps an observed conflict back to the static dependence that
          predicted it, if the caller supplied a dependence graph *)
-  max_steps : int;
-  steps : int Atomic.t;
   sink : Telemetry.sink;
   mutable epoch : int;  (* validator epoch; validate mode is sequential *)
   conflicts : (Ast.stmt_id * string * conflict_kind, conflict) Hashtbl.t;
   bad_mutex : Mutex.t;  (* first-wins capture of escaping signals *)
 }
 
-(* Per-domain execution context.  The coordinator has one; each worker
-   gets its own with a copied frame, so the only shared mutable state
-   during a parallel loop is the typed element buffers themselves. *)
-type tctx = {
+(* The runtime's side of an evaluation context.  The coordinator has
+   one; each worker of a parallel loop gets its own context with a
+   copied frame, so the only shared mutable state during a parallel
+   loop is the typed element buffers themselves. *)
+type side = {
   g : global;
-  mutable out_rev : string list;
-  mutable depth : int;
-  mutable in_parallel : bool;
   mutable mon_iter : int;  (* >= 0 while inside an instrumented loop *)
   mutable mon_loop : Ast.stmt_id;
-  ops : ops;
 }
 
-type frame = (string, Store.slot) Hashtbl.t
-
-type signal = Snormal | Sgoto of int | Sreturn | Sstop
+type ctx = side Eval.ctx
 
 (* Per-worker state of one parallel loop: a copied frame whose
    planned variables point at fresh storage. *)
 type wstate = {
-  wframe : frame;
-  wt : tctx;
+  wframe : Eval.frame;
+  wt : ctx;
   ivc : Store.cell;
   priv_cells : (Store.cell * Store.cell) list;  (* original, private *)
   ind_cells : (Store.cell * V.value * int) list;
@@ -118,7 +85,7 @@ type wstate = {
 (* Shadow-memory monitoring (validate mode only)                       *)
 (* ------------------------------------------------------------------ *)
 
-let record_conflict t var kind off other =
+let record_conflict (t : side) var kind off other =
   Telemetry.incr (Telemetry.counter t.g.sink "runtime.validator.conflicts");
   let key = (t.mon_loop, var, kind) in
   match Hashtbl.find_opt t.g.conflicts key with
@@ -150,575 +117,140 @@ let record_conflict t var kind off other =
         c_pred;
       }
 
-let monitored t (b : Store.buf) =
-  t.mon_iter >= 0 && b.Store.excl_epoch <> t.g.epoch
-
 let note_read t var (b : Store.buf) off =
-  if monitored t b then begin
-    let sh = Store.shadow_of b in
-    if sh.Store.w_ep.(off) = t.g.epoch && sh.Store.w_it.(off) <> t.mon_iter
-    then record_conflict t var Flow off sh.Store.w_it.(off);
-    sh.Store.r_ep.(off) <- t.g.epoch;
-    sh.Store.r_it.(off) <- t.mon_iter
-  end
+  let sh = Store.shadow_of b in
+  if sh.Store.w_ep.(off) = t.g.epoch && sh.Store.w_it.(off) <> t.mon_iter
+  then record_conflict t var Flow off sh.Store.w_it.(off);
+  sh.Store.r_ep.(off) <- t.g.epoch;
+  sh.Store.r_it.(off) <- t.mon_iter
 
 let note_write t var (b : Store.buf) off =
-  if monitored t b then begin
-    let sh = Store.shadow_of b in
-    if sh.Store.r_ep.(off) = t.g.epoch && sh.Store.r_it.(off) <> t.mon_iter
-    then record_conflict t var Anti off sh.Store.r_it.(off);
-    if sh.Store.w_ep.(off) = t.g.epoch && sh.Store.w_it.(off) <> t.mon_iter
-    then record_conflict t var Output off sh.Store.w_it.(off);
-    sh.Store.w_ep.(off) <- t.g.epoch;
-    sh.Store.w_it.(off) <- t.mon_iter
-  end
+  let sh = Store.shadow_of b in
+  if sh.Store.r_ep.(off) = t.g.epoch && sh.Store.r_it.(off) <> t.mon_iter
+  then record_conflict t var Anti off sh.Store.r_it.(off);
+  if sh.Store.w_ep.(off) = t.g.epoch && sh.Store.w_it.(off) <> t.mon_iter
+  then record_conflict t var Output off sh.Store.w_it.(off);
+  sh.Store.w_ep.(off) <- t.g.epoch;
+  sh.Store.w_it.(off) <- t.mon_iter
+
+let note (c : ctx) ~write ~elem:_ var (b : Store.buf) off =
+  let t = c.Eval.side in
+  if t.mon_iter >= 0 && b.Store.excl_epoch <> t.g.epoch then
+    if write then note_write t var b off else note_read t var b off
 
 (* ------------------------------------------------------------------ *)
-(* Expression evaluation                                               *)
+(* Parallel-loop policies                                              *)
 (* ------------------------------------------------------------------ *)
 
-let typ_of_var (ui : unit_info) v = Symbol.typ_of ui.tbl v
-
-let find_slot (ui : unit_info) (frame : frame) v : Store.slot =
-  match Hashtbl.find_opt frame v with
-  | Some s -> s
-  | None -> (
-    (* late creation: undeclared scalar local *)
-    match Symbol.lookup ui.tbl v with
-    | Some { kind = Symbol.Scalar; typ; param; _ } ->
-      let b = Store.alloc typ 1 in
-      (match param with
-      | Some _ -> (
-        match Symbol.param_value ui.tbl v with
-        | Some n -> Store.set b 0 (V.VI n)
-        | None -> ())
-      | None -> ());
-      let s = Store.Scalar { Store.cbuf = b; coff = 0 } in
-      Hashtbl.replace frame v s;
-      s
-    | _ -> err "variable %s has no storage in %s" v ui.u.Ast.uname)
-
-let rec eval t ui frame (e : Ast.expr) : V.value =
-  match e with
-  | Ast.Int n -> V.VI n
-  | Ast.Real f -> V.VR f
-  | Ast.Logic b -> V.VL b
-  | Ast.Str s -> V.VS s
-  | Ast.Var v -> (
-    match find_slot ui frame v with
-    | Store.Scalar c ->
-      t.ops.o_mems <- t.ops.o_mems + 1;
-      note_read t v c.Store.cbuf c.Store.coff;
-      Store.get_cell c
-    | Store.Arr _ -> err "array %s used as a scalar value" v)
-  | Ast.Index (b, args) -> (
-    match Symbol.lookup ui.tbl b with
-    | Some { kind = Symbol.Array _; _ } -> (
-      let idxs = List.map (fun a -> V.to_int (eval t ui frame a)) args in
-      match find_slot ui frame b with
-      | Store.Arr a ->
-        let off = Store.offset a idxs in
-        t.ops.o_mems <- t.ops.o_mems + 1;
-        note_read t b a.Store.abuf off;
-        Store.get a.Store.abuf off
-      | Store.Scalar _ -> err "%s is not an array" b)
-    | Some { kind = Symbol.Intrinsic; _ } -> eval_intrinsic t ui frame b args
-    | Some { kind = Symbol.External_fun; _ } ->
-      eval_function_call t ui frame b args
-    | _ -> err "cannot evaluate %s(...)" b)
-  | Ast.Un (Ast.Neg, a) -> (
-    match eval t ui frame a with
-    | V.VI n -> V.VI (-n)
-    | V.VR f -> V.VR (-.f)
-    | v -> err "cannot negate %s" (Format.asprintf "%a" V.pp_value v))
-  | Ast.Un (Ast.Not, a) -> V.VL (not (V.to_bool (eval t ui frame a)))
-  | Ast.Bin (op, a, b) -> (
-    match op with
-    | Ast.And ->
-      V.VL (V.to_bool (eval t ui frame a) && V.to_bool (eval t ui frame b))
-    | Ast.Or ->
-      V.VL (V.to_bool (eval t ui frame a) || V.to_bool (eval t ui frame b))
-    | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Pow ->
-      t.ops.o_flops <- t.ops.o_flops + 1;
-      arith op (eval t ui frame a) (eval t ui frame b)
-    | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne ->
-      t.ops.o_flops <- t.ops.o_flops + 1;
-      compare_vals op (eval t ui frame a) (eval t ui frame b))
-
-and arith op a b =
-  match (a, b) with
-  | V.VI x, V.VI y -> (
-    match op with
-    | Ast.Add -> V.VI (x + y)
-    | Ast.Sub -> V.VI (x - y)
-    | Ast.Mul -> V.VI (x * y)
-    | Ast.Div -> if y = 0 then err "integer division by zero" else V.VI (x / y)
-    | Ast.Pow ->
-      if y < 0 then V.VI 0
-      else V.VI (int_of_float (Float.round (float_of_int x ** float_of_int y)))
-    | _ -> assert false)
-  | (V.VI _ | V.VR _), (V.VI _ | V.VR _) -> (
-    let x = V.to_float a and y = V.to_float b in
-    match op with
-    | Ast.Add -> V.VR (x +. y)
-    | Ast.Sub -> V.VR (x -. y)
-    | Ast.Mul -> V.VR (x *. y)
-    | Ast.Div -> V.VR (x /. y)
-    | Ast.Pow -> V.VR (x ** y)
-    | _ -> assert false)
-  | _ -> err "bad operands for arithmetic"
-
-and compare_vals op a b =
-  let x = V.to_float a and y = V.to_float b in
-  let r =
-    match op with
-    | Ast.Lt -> x < y
-    | Ast.Le -> x <= y
-    | Ast.Gt -> x > y
-    | Ast.Ge -> x >= y
-    | Ast.Eq -> x = y
-    | Ast.Ne -> x <> y
-    | _ -> assert false
+let plan_of (c : ctx) ui frame (l : Eval.loop) =
+  let plan =
+    match Hashtbl.find_opt c.Eval.side.g.plans l.Eval.l_stmt.Ast.sid with
+    | Some p -> p
+    | None -> Plan.trivial l.Eval.l_header.Ast.dvar
   in
-  V.VL r
-
-and eval_intrinsic t ui frame name args : V.value =
-  t.ops.o_intr <- t.ops.o_intr + 1;
-  let vs () = List.map (eval t ui frame) args in
-  let one () =
-    match vs () with [ v ] -> v | _ -> err "%s expects one argument" name
+  (* planned scalars must exist in the frame: the validator excludes
+     their storage, workers seed private copies from it, and the join
+     writes last values and reductions back to it *)
+  let ensure v =
+    try ignore (Eval.find_slot ui frame v) with Runtime_error _ -> ()
   in
-  let two () =
-    match vs () with
-    | [ a; b ] -> (a, b)
-    | _ -> err "%s expects two arguments" name
-  in
-  match name with
-  | "ABS" -> (
-    match one () with
-    | V.VI n -> V.VI (abs n)
-    | v -> V.VR (Float.abs (V.to_float v)))
-  | "MOD" -> (
-    match two () with
-    | V.VI a, V.VI b -> if b = 0 then err "MOD by zero" else V.VI (a mod b)
-    | a, b -> V.VR (Float.rem (V.to_float a) (V.to_float b)))
-  | "MAX" | "MIN" -> (
-    let vs = vs () in
-    let all_int = List.for_all (function V.VI _ -> true | _ -> false) vs in
-    let sel = if name = "MAX" then Float.max else Float.min in
-    let r =
-      List.fold_left
-        (fun acc v -> sel acc (V.to_float v))
-        (V.to_float (List.hd vs))
-        (List.tl vs)
-    in
-    if all_int then V.VI (int_of_float r) else V.VR r)
-  | "SQRT" -> V.VR (sqrt (V.to_float (one ())))
-  | "EXP" -> V.VR (exp (V.to_float (one ())))
-  | "LOG" -> V.VR (log (V.to_float (one ())))
-  | "SIN" -> V.VR (sin (V.to_float (one ())))
-  | "COS" -> V.VR (cos (V.to_float (one ())))
-  | "TAN" -> V.VR (tan (V.to_float (one ())))
-  | "FLOAT" | "DBLE" | "SNGL" -> V.VR (V.to_float (one ()))
-  | "INT" -> V.VI (V.to_int (one ()))
-  | "NINT" -> V.VI (int_of_float (Float.round (V.to_float (one ()))))
-  | "SIGN" -> (
-    match two () with
-    | a, b ->
-      let m = Float.abs (V.to_float a) in
-      let r = if V.to_float b < 0.0 then -.m else m in
-      (match a with V.VI _ -> V.VI (int_of_float r) | _ -> V.VR r))
-  | _ -> err "unknown intrinsic %s" name
-
-(* ------------------------------------------------------------------ *)
-(* Frames and calls                                                    *)
-(* ------------------------------------------------------------------ *)
-
-and build_frame t (ui : unit_info) (bindings : (string * Store.slot) list) :
-    frame =
-  let frame : frame = Hashtbl.create 16 in
-  List.iter (fun (n, s) -> Hashtbl.replace frame n s) bindings;
-  let common_slot name =
-    match Hashtbl.find_opt t.g.commons name with
-    | Some s -> s
-    | None -> err "COMMON variable %s was not pre-allocated" name
-  in
-  (* pass 1: scalars (parameters seeded), so array dims can use them *)
-  List.iter
-    (fun (i : Symbol.info) ->
-      if not (Hashtbl.mem frame i.name) then
-        match i.kind with
-        | Symbol.Scalar ->
-          if i.common <> None then
-            Hashtbl.replace frame i.name (common_slot i.name)
-          else begin
-            let b = Store.alloc i.typ 1 in
-            (match Symbol.param_value ui.tbl i.name with
-            | Some n -> Store.set b 0 (V.VI n)
-            | None -> (
-              (* DATA initial value: literals only *)
-              match i.data with
-              | Some (Ast.Int n) -> Store.set b 0 (V.VI n)
-              | Some (Ast.Real f) -> Store.set b 0 (V.VR f)
-              | Some (Ast.Logic l) -> Store.set b 0 (V.VL l)
-              | Some (Ast.Un (Ast.Neg, Ast.Int n)) -> Store.set b 0 (V.VI (-n))
-              | Some (Ast.Un (Ast.Neg, Ast.Real f)) ->
-                Store.set b 0 (V.VR (-.f))
-              | Some _ | None -> ()));
-            Hashtbl.replace frame i.name
-              (Store.Scalar { Store.cbuf = b; coff = 0 })
-          end
-        | Symbol.Array _ | Symbol.Routine | Symbol.External_fun
-        | Symbol.Intrinsic -> ())
-    (Symbol.infos ui.tbl);
-  (* pass 2: arrays (bounds may reference formals and parameters) *)
-  List.iter
-    (fun (i : Symbol.info) ->
-      match i.kind with
-      | Symbol.Array dims ->
-        let bounds =
-          List.map
-            (fun (lo, hi) ->
-              let lo = V.to_int (eval t ui frame lo) in
-              let hi =
-                match hi with
-                | Ast.Int n when n = max_int ->
-                  (* assumed-size: extent comes from the storage *)
-                  max_int
-                | e -> V.to_int (eval t ui frame e)
-              in
-              (lo, hi))
-            dims
-        in
-        (match Hashtbl.find_opt frame i.name with
-        | Some (Store.Arr view) ->
-          (* formal array: reshape the passed storage to our bounds *)
-          let bounds =
-            (* resolve assumed-size final extent against storage *)
-            match List.rev bounds with
-            | (lo, hi) :: rest when hi = max_int ->
-              let other =
-                List.fold_left
-                  (fun acc (l, h) -> acc * max 1 (h - l + 1))
-                  1 rest
-              in
-              let avail = Store.length view.Store.abuf - view.Store.base in
-              let extent = max 1 (avail / max 1 other) in
-              List.rev ((lo, lo + extent - 1) :: rest)
-            | _ -> bounds
-          in
-          Hashtbl.replace frame i.name
-            (Store.Arr
-               { Store.abuf = view.Store.abuf; base = view.Store.base; bounds })
-        | Some (Store.Scalar _) -> ()
-        | None ->
-          if i.common <> None then
-            Hashtbl.replace frame i.name (common_slot i.name)
-          else begin
-            let size =
-              List.fold_left
-                (fun acc (lo, hi) -> acc * max 1 (hi - lo + 1))
-                1 bounds
-            in
-            Hashtbl.replace frame i.name
-              (Store.Arr { Store.abuf = Store.alloc i.typ size; base = 0; bounds })
-          end)
-      | Symbol.Scalar | Symbol.Routine | Symbol.External_fun
-      | Symbol.Intrinsic -> ())
-    (Symbol.infos ui.tbl);
-  frame
-
-and bind_actuals t caller_ui caller_frame (callee : unit_info)
-    (formals : string list) (actuals : Ast.expr list) :
-    (string * Store.slot) list =
-  let bind formal actual =
-    let formal_is_array = Symbol.is_array callee.tbl formal in
-    match actual with
-    | Ast.Var v -> (
-      match find_slot caller_ui caller_frame v with
-      | Store.Scalar c -> (formal, Store.Scalar c)
-      | Store.Arr a -> (formal, Store.Arr a))
-    | Ast.Index (b, idxs) when Symbol.is_array caller_ui.tbl b -> (
-      let idxs =
-        List.map (fun a -> V.to_int (eval t caller_ui caller_frame a)) idxs
-      in
-      match find_slot caller_ui caller_frame b with
-      | Store.Arr a ->
-        let off = Store.offset a idxs in
-        if formal_is_array then
-          (* the callee sees storage starting at this element *)
-          (formal, Store.Arr { Store.abuf = a.Store.abuf; base = off; bounds = [] })
-        else (formal, Store.Scalar { Store.cbuf = a.Store.abuf; coff = off })
-      | Store.Scalar _ -> err "%s is not an array" b)
-    | e ->
-      (* expression argument: pass a temporary *)
-      let typ = typ_of_var callee formal in
-      let b = Store.alloc typ 1 in
-      Store.set b 0 (eval t caller_ui caller_frame e);
-      (formal, Store.Scalar { Store.cbuf = b; coff = 0 })
-  in
-  let rec go fs acts =
-    match (fs, acts) with
-    | [], _ -> []
-    | f :: fs, a :: acts -> bind f a :: go fs acts
-    | f :: _, [] -> err "missing actual argument for %s" f
-  in
-  go formals actuals
-
-and call_unit t (callee : unit_info) (bindings : (string * Store.slot) list) :
-    frame =
-  t.depth <- t.depth + 1;
-  if t.depth > 200 then err "call depth exceeded (recursion?)";
-  let frame = build_frame t callee bindings in
-  let signal = exec_block t callee frame callee.u.Ast.body in
-  (match signal with
-  | Snormal | Sreturn -> ()
-  | Sstop ->
-    t.depth <- t.depth - 1;
-    raise Exit
-  | Sgoto l -> err "GOTO %d escapes %s" l callee.u.Ast.uname);
-  t.depth <- t.depth - 1;
-  frame
-
-and eval_function_call t ui frame name args : V.value =
-  match Hashtbl.find_opt t.g.units name with
-  | Some callee -> (
-    let formals =
-      match callee.u.Ast.kind with
-      | Ast.Function (_, fs) -> fs
-      | _ -> err "%s is not a function" name
-    in
-    t.ops.o_calls <- t.ops.o_calls + 1;
-    let bindings = bind_actuals t ui frame callee formals args in
-    let callee_frame = call_unit t callee bindings in
-    match Hashtbl.find_opt callee_frame name with
-    | Some (Store.Scalar c) -> Store.get_cell c
-    | _ -> err "function %s returned no value" name)
-  | None -> err "unknown function %s (external functions must be supplied)" name
-
-(* ------------------------------------------------------------------ *)
-(* Statement execution                                                 *)
-(* ------------------------------------------------------------------ *)
-
-and exec_block t ui frame (stmts : Ast.stmt list) : signal =
-  let arr = Array.of_list stmts in
-  let n = Array.length arr in
-  let rec from i : signal =
-    if i >= n then Snormal
-    else
-      match exec_stmt t ui frame arr.(i) with
-      | Snormal -> from (i + 1)
-      | Sgoto l -> (
-        (* a label in this block? (possibly behind us) *)
-        match
-          Array.to_list arr
-          |> List.mapi (fun j s -> (j, s))
-          |> List.find_opt (fun (_, (s : Ast.stmt)) -> s.Ast.label = Some l)
-        with
-        | Some (j, _) -> from j
-        | None -> Sgoto l)
-      | (Sreturn | Sstop) as s -> s
-  in
-  from 0
-
-and exec_stmt t ui frame (s : Ast.stmt) : signal =
-  if Atomic.fetch_and_add t.g.steps 1 >= t.g.max_steps then
-    err "statement budget exhausted";
-  match s.Ast.node with
-  | Ast.Continue -> Snormal
-  | Ast.Goto l -> Sgoto l
-  | Ast.Return -> Sreturn
-  | Ast.Stop -> Sstop
-  | Ast.Assign (lhs, rhs) -> (
-    let v = eval t ui frame rhs in
-    match lhs with
-    | Ast.Var name -> (
-      match find_slot ui frame name with
-      | Store.Scalar c ->
-        t.ops.o_mems <- t.ops.o_mems + 1;
-        note_write t name c.Store.cbuf c.Store.coff;
-        Store.set_cell c v;
-        Snormal
-      | Store.Arr _ -> err "cannot assign whole array %s" name)
-    | Ast.Index (b, idxs) -> (
-      let idxs = List.map (fun a -> V.to_int (eval t ui frame a)) idxs in
-      match find_slot ui frame b with
-      | Store.Arr a ->
-        let off = Store.offset a idxs in
-        t.ops.o_mems <- t.ops.o_mems + 1;
-        note_write t b a.Store.abuf off;
-        Store.set a.Store.abuf off v;
-        Snormal
-      | Store.Scalar _ -> err "%s is not an array" b)
-    | _ -> err "bad assignment target")
-  | Ast.Print args ->
-    let line = Abi.print_line (List.map (eval t ui frame) args) in
-    t.out_rev <- line :: t.out_rev;
-    Snormal
-  | Ast.If (branches, els) ->
-    let rec pick = function
-      | [] -> exec_block t ui frame els
-      | (c, body) :: rest ->
-        if V.to_bool (eval t ui frame c) then exec_block t ui frame body
-        else pick rest
-    in
-    pick branches
-  | Ast.Call (name, args) -> (
-    match Hashtbl.find_opt t.g.units name with
-    | Some callee ->
-      let formals =
-        match callee.u.Ast.kind with
-        | Ast.Subroutine fs -> fs
-        | Ast.Function (_, fs) -> fs
-        | Ast.Main -> err "cannot CALL the main program"
-      in
-      t.ops.o_calls <- t.ops.o_calls + 1;
-      let bindings = bind_actuals t ui frame callee formals args in
-      let _ = call_unit t callee bindings in
-      Snormal
-    | None -> err "unknown subroutine %s" name)
-  | Ast.Do (h, body) -> exec_do t ui frame s h body
-
-and exec_do t ui frame (s : Ast.stmt) (h : Ast.do_header) body : signal =
-  let lo = eval t ui frame h.Ast.lo in
-  let hi = eval t ui frame h.Ast.hi in
-  let step =
-    match h.Ast.step with None -> V.VI 1 | Some e -> eval t ui frame e
-  in
-  let is_int =
-    match (lo, hi, step) with V.VI _, V.VI _, V.VI _ -> true | _ -> false
-  in
-  let iv_cell =
-    match find_slot ui frame h.Ast.dvar with
-    | Store.Scalar c -> c
-    | Store.Arr _ -> err "loop variable %s is an array" h.Ast.dvar
-  in
-  let trip =
-    if is_int then begin
-      let l = V.to_int lo and hh = V.to_int hi and st_ = V.to_int step in
-      if st_ = 0 then err "zero DO step";
-      max 0 (((hh - l) + st_) / st_)
-    end
-    else begin
-      let l = V.to_float lo and hh = V.to_float hi and st_ = V.to_float step in
-      if st_ = 0.0 then err "zero DO step";
-      max 0 (int_of_float (Float.trunc (((hh -. l) +. st_) /. st_)))
-    end
-  in
-  let value_at k =
-    if is_int then V.VI (V.to_int lo + (k * V.to_int step))
-    else V.VR (V.to_float lo +. (float_of_int k *. V.to_float step))
-  in
-  (* F77: the DO variable receives its initial value even when the
-     loop runs zero times *)
-  Store.set_cell iv_cell (value_at 0);
-  let seq_run () =
-    let rec go k =
-      if k >= trip then begin
-        (* normal completion: F77 leaves the DO variable at the first
-           value that failed the iteration test *)
-        Store.set_cell iv_cell (value_at trip);
-        Snormal
-      end
-      else begin
-        Store.set_cell iv_cell (value_at k);
-        t.ops.o_iters <- t.ops.o_iters + 1;
-        match exec_block t ui frame body with
-        | Snormal -> go (k + 1)
-        | other -> other
-      end
-    in
-    go 0
-  in
-  if not (h.Ast.parallel && not t.in_parallel) then seq_run ()
-  else if t.g.validate then
-    run_validated t ui frame s h body ~trip ~value_at ~iv_cell
-  else
-    match t.g.pool with
-    | Some pool when trip > 0 ->
-      run_parallel t ui frame s h body ~trip ~value_at ~iv_cell pool
-    | _ -> seq_run ()
+  List.iter ensure plan.Plan.p_privates;
+  List.iter (fun (v, _) -> ensure v) plan.Plan.p_inductions;
+  List.iter (fun (v, _) -> ensure v) plan.Plan.p_reductions;
+  plan
 
 (* Instrumented sequential execution of a PARALLEL DO: every element
    access inside is stamped with its iteration number; accesses to
    storage the plan privatizes are excluded via the epoch tag. *)
-and run_validated t ui frame s (h : Ast.do_header) body ~trip ~value_at
-    ~iv_cell : signal =
-  let plan =
-    match Hashtbl.find_opt t.g.plans s.Ast.sid with
-    | Some p -> p
-    | None -> Plan.trivial h.Ast.dvar
-  in
-  (* make sure planned scalars exist so the exclusion reaches them *)
-  let ensure v = try ignore (find_slot ui frame v) with Runtime_error _ -> () in
-  List.iter ensure plan.Plan.p_privates;
-  List.iter (fun (v, _) -> ensure v) plan.Plan.p_inductions;
-  List.iter (fun (v, _) -> ensure v) plan.Plan.p_reductions;
+let run_validated (c : ctx) ui frame (l : Eval.loop) : Eval.signal =
+  let t = c.Eval.side in
+  let plan = plan_of c ui frame l in
   t.g.epoch <- t.g.epoch + 1;
   let epoch = t.g.epoch in
   let exclude v =
     match Hashtbl.find_opt frame v with
-    | Some (Store.Scalar c) -> c.Store.cbuf.Store.excl_epoch <- epoch
+    | Some (Store.Scalar cell) -> cell.Store.cbuf.Store.excl_epoch <- epoch
     | Some (Store.Arr a) -> a.Store.abuf.Store.excl_epoch <- epoch
     | None -> ()
   in
-  exclude h.Ast.dvar;
+  exclude l.Eval.l_header.Ast.dvar;
   List.iter exclude plan.Plan.p_privates;
   List.iter (fun (v, _) -> exclude v) plan.Plan.p_inductions;
   List.iter (fun (v, _) -> exclude v) plan.Plan.p_reductions;
   List.iter exclude plan.Plan.p_arrays;
   let saved_iter = t.mon_iter and saved_loop = t.mon_loop in
-  t.in_parallel <- true;
-  t.mon_loop <- s.Ast.sid;
+  c.Eval.in_parallel <- true;
+  t.mon_loop <- l.Eval.l_stmt.Ast.sid;
   let bad = ref None in
   let k = ref 0 in
-  while !bad = None && !k < trip do
+  while !bad = None && !k < l.Eval.l_trip do
     t.mon_iter <- !k;
-    Store.set_cell iv_cell (value_at !k);
-    t.ops.o_iters <- t.ops.o_iters + 1;
-    (match exec_block t ui frame body with
-    | Snormal -> ()
+    (match Eval.iteration c ui frame l l.Eval.l_iv !k with
+    | Eval.Snormal -> ()
     | other -> bad := Some other);
     incr k
   done;
   t.mon_iter <- saved_iter;
   t.mon_loop <- saved_loop;
-  t.in_parallel <- false;
+  c.Eval.in_parallel <- false;
   match !bad with
   | Some other -> other
   | None ->
-    Store.set_cell iv_cell (value_at trip);
-    Snormal
+    Store.set_cell l.Eval.l_iv (l.Eval.l_value_at l.Eval.l_trip);
+    Eval.Snormal
+
+let induction_value k0 stride k : V.value =
+  match k0 with
+  | V.VI x -> V.VI (x + (stride * k))
+  | V.VR x -> V.VR (x +. float_of_int (stride * k))
+  | (V.VL _ | V.VS _) as v -> v
+
+let reduction_identity op (cell : Store.cell) : V.value =
+  let is_int =
+    match cell.Store.cbuf.Store.data with Store.I _ -> true | _ -> false
+  in
+  match (op, is_int) with
+  | Varclass.Rsum, true -> V.VI 0
+  | Varclass.Rsum, false -> V.VR 0.0
+  | Varclass.Rprod, true -> V.VI 1
+  | Varclass.Rprod, false -> V.VR 1.0
+  | Varclass.Rmax, true -> V.VI min_int
+  | Varclass.Rmax, false -> V.VR neg_infinity
+  | Varclass.Rmin, true -> V.VI max_int
+  | Varclass.Rmin, false -> V.VR infinity
+
+let combine_reduction op a b =
+  match (op, a, b) with
+  | Varclass.Rsum, V.VI x, V.VI y -> V.VI (x + y)
+  | Varclass.Rsum, _, _ -> V.VR (V.to_float a +. V.to_float b)
+  | Varclass.Rprod, V.VI x, V.VI y -> V.VI (x * y)
+  | Varclass.Rprod, _, _ -> V.VR (V.to_float a *. V.to_float b)
+  | Varclass.Rmax, V.VI x, V.VI y -> V.VI (max x y)
+  | Varclass.Rmax, _, _ -> V.VR (Float.max (V.to_float a) (V.to_float b))
+  | Varclass.Rmin, V.VI x, V.VI y -> V.VI (min x y)
+  | Varclass.Rmin, _, _ -> V.VR (Float.min (V.to_float a) (V.to_float b))
 
 (* Real parallel execution of a PARALLEL DO on the domain pool. *)
-and run_parallel t ui frame s (h : Ast.do_header) body ~trip ~value_at ~iv_cell
-    pool : signal =
-  let plan =
-    match Hashtbl.find_opt t.g.plans s.Ast.sid with
-    | Some p -> p
-    | None -> Plan.trivial h.Ast.dvar
-  in
-  (* planned scalars must exist in the shared frame before workers
-     copy it, both to seed private copies and for last-value and
-     reduction write-back afterwards *)
-  let ensure v = try ignore (find_slot ui frame v) with Runtime_error _ -> () in
-  List.iter ensure plan.Plan.p_privates;
-  List.iter (fun (v, _) -> ensure v) plan.Plan.p_inductions;
-  List.iter (fun (v, _) -> ensure v) plan.Plan.p_reductions;
+let run_parallel pool (c : ctx) ui frame (l : Eval.loop) : Eval.signal =
+  let trip = l.Eval.l_trip in
+  if trip = 0 then Eval.seq_loop c ui frame l
+  else
+  let g = c.Eval.side.g in
+  let plan = plan_of c ui frame l in
   (* auxiliary inductions: capture the entry value now; workers get the
      closed form per iteration and the join writes back the final value *)
   let ind_info =
     List.filter_map
       (fun (v, stride) ->
         match Hashtbl.find_opt frame v with
-        | Some (Store.Scalar c) -> Some (v, c, Store.get_cell c, stride)
+        | Some (Store.Scalar cell) -> Some (v, cell, Store.get_cell cell, stride)
         | _ -> None)
       plan.Plan.p_inductions
   in
   let nw = Pool.size pool in
   let wstates = Array.make nw None in
   let bad = ref None in
-  let loop_label = Printf.sprintf "s%d" s.Ast.sid in
+  let loop_label = Printf.sprintf "s%d" l.Eval.l_stmt.Ast.sid in
   (* Lazily built per-worker context: a copied frame in which the
      induction variable, planned private scalars (seeded with the
      current value), reduction scalars (seeded with the operator
@@ -728,42 +260,40 @@ and run_parallel t ui frame s (h : Ast.do_header) body ~trip ~value_at ~iv_cell
     match wstates.(w) with
     | Some ws -> ws
     | None ->
-      Telemetry.span t.g.sink "exec.copy-in"
+      Telemetry.span g.sink "exec.copy-in"
         ~args:[ ("loop", loop_label); ("worker", string_of_int w) ]
       @@ fun () ->
       let wframe = Hashtbl.copy frame in
       let wt =
         {
-          g = t.g;
+          c with
+          Eval.side = { g; mon_iter = -1; mon_loop = -1 };
           out_rev = [];
-          depth = t.depth;
           in_parallel = true;
-          mon_iter = -1;
-          mon_loop = -1;
-          ops = fresh_ops ();
+          ops = Eval.fresh_ops ();
         }
       in
-      let fresh_cell (c : Store.cell) =
-        { Store.cbuf = Store.alloc_like c.Store.cbuf 1; coff = 0 }
+      let fresh_cell (cell : Store.cell) =
+        { Store.cbuf = Store.alloc_like cell.Store.cbuf 1; coff = 0 }
       in
-      let ivc = fresh_cell iv_cell in
-      Hashtbl.replace wframe h.Ast.dvar (Store.Scalar ivc);
+      let ivc = fresh_cell l.Eval.l_iv in
+      Hashtbl.replace wframe l.Eval.l_header.Ast.dvar (Store.Scalar ivc);
       let priv_cells =
         List.filter_map
           (fun v ->
             match Hashtbl.find_opt frame v with
-            | Some (Store.Scalar c) ->
-              let nc = fresh_cell c in
-              Store.set_cell nc (Store.get_cell c);
+            | Some (Store.Scalar cell) ->
+              let nc = fresh_cell cell in
+              Store.set_cell nc (Store.get_cell cell);
               Hashtbl.replace wframe v (Store.Scalar nc);
-              Some (c, nc)
+              Some (cell, nc)
             | _ -> None)
           plan.Plan.p_privates
       in
       let ind_cells =
         List.map
-          (fun (v, c, k0, stride) ->
-            let nc = fresh_cell c in
+          (fun (v, cell, k0, stride) ->
+            let nc = fresh_cell cell in
             Store.set_cell nc k0;
             Hashtbl.replace wframe v (Store.Scalar nc);
             (nc, k0, stride))
@@ -773,11 +303,11 @@ and run_parallel t ui frame s (h : Ast.do_header) body ~trip ~value_at ~iv_cell
         List.filter_map
           (fun (v, op) ->
             match Hashtbl.find_opt frame v with
-            | Some (Store.Scalar c) ->
-              let nc = fresh_cell c in
+            | Some (Store.Scalar cell) ->
+              let nc = fresh_cell cell in
               Store.set_cell nc (reduction_identity op nc);
               Hashtbl.replace wframe v (Store.Scalar nc);
-              Some (v, (op, c, nc))
+              Some (v, (op, cell, nc))
             | _ -> None)
           plan.Plan.p_reductions
       in
@@ -788,9 +318,7 @@ and run_parallel t ui frame s (h : Ast.do_header) body ~trip ~value_at ~iv_cell
             | Some (Store.Arr a) ->
               let nb = Store.alloc_like a.Store.abuf (Store.length a.Store.abuf) in
               Store.copy_into nb a.Store.abuf;
-              Hashtbl.replace wframe v
-                (Store.Arr
-                   { Store.abuf = nb; base = a.Store.base; bounds = a.Store.bounds });
+              Hashtbl.replace wframe v (Store.Arr { a with Store.abuf = nb });
               Some (a, nb)
             | _ -> None)
           plan.Plan.p_arrays
@@ -805,34 +333,32 @@ and run_parallel t ui frame s (h : Ast.do_header) body ~trip ~value_at ~iv_cell
   let body_fn ~worker k =
     let ws = get_ws worker in
     ws.last_iter <- k;
-    Store.set_cell ws.ivc (value_at k);
     List.iter
       (fun (nc, k0, stride) -> Store.set_cell nc (induction_value k0 stride k))
       ws.ind_cells;
-    ws.wt.ops.o_iters <- ws.wt.ops.o_iters + 1;
-    ws.wt.out_rev <- [];
-    let sg = exec_block ws.wt ui ws.wframe body in
-    if ws.wt.out_rev <> [] then
-      ws.outs <- (k, List.rev ws.wt.out_rev) :: ws.outs;
+    ws.wt.Eval.out_rev <- [];
+    let sg = Eval.iteration ws.wt ui ws.wframe l ws.ivc k in
+    if ws.wt.Eval.out_rev <> [] then
+      ws.outs <- (k, List.rev ws.wt.Eval.out_rev) :: ws.outs;
     match sg with
-    | Snormal -> ()
+    | Eval.Snormal -> ()
     | other ->
-      Mutex.lock t.g.bad_mutex;
+      Mutex.lock g.bad_mutex;
       if !bad = None then bad := Some other;
-      Mutex.unlock t.g.bad_mutex;
+      Mutex.unlock g.bad_mutex;
       raise Abort_loop
   in
   (* the loop span covers fork through join (scheduling, per-worker
      copy-in, the body, and the sequential merge below), so perfdebug
      can compare whole-loop time against summed worker busy time *)
-  Telemetry.span t.g.sink "exec.parallel-loop"
+  Telemetry.span g.sink "exec.parallel-loop"
     ~args:[ ("loop", loop_label); ("trip", string_of_int trip) ]
   @@ fun () ->
   (try
-     Pool.parallel_for pool ~label:loop_label ~schedule:t.g.schedule ~trip
+     Pool.parallel_for pool ~label:loop_label ~schedule:g.schedule ~trip
        ~body:body_fn
    with Abort_loop -> ());
-  Telemetry.span t.g.sink "exec.join" ~args:[ ("loop", loop_label) ]
+  Telemetry.span g.sink "exec.join" ~args:[ ("loop", loop_label) ]
   @@ fun () ->
   (* merge worker-buffered PRINT output in iteration order *)
   let outs =
@@ -842,9 +368,9 @@ and run_parallel t ui frame s (h : Ast.do_header) body ~trip ~value_at ~iv_cell
   in
   List.sort (fun (a, _) (b, _) -> compare (a : int) b) outs
   |> List.iter (fun (_, lines) ->
-         List.iter (fun l -> t.out_rev <- l :: t.out_rev) lines);
+         List.iter (fun line -> c.Eval.out_rev <- line :: c.Eval.out_rev) lines);
   Array.iter
-    (function None -> () | Some ws -> add_ops t.ops ws.wt.ops)
+    (function None -> () | Some ws -> Eval.add_ops c.Eval.ops ws.wt.Eval.ops)
     wstates;
   (* last-value write-back: private scalars and privatized arrays take
      their values from the worker that ran the sequentially last
@@ -888,42 +414,11 @@ and run_parallel t ui frame s (h : Ast.do_header) body ~trip ~value_at ~iv_cell
     plan.Plan.p_reductions;
   (* auxiliary inductions land on their sequential final value *)
   List.iter
-    (fun (_, c, k0, stride) ->
-      Store.set_cell c (induction_value k0 stride trip))
+    (fun (_, cell, k0, stride) ->
+      Store.set_cell cell (induction_value k0 stride trip))
     ind_info;
-  Store.set_cell iv_cell (value_at trip);
-  match !bad with Some other -> other | None -> Snormal
-
-and induction_value k0 stride k : V.value =
-  match k0 with
-  | V.VI x -> V.VI (x + (stride * k))
-  | V.VR x -> V.VR (x +. float_of_int (stride * k))
-  | (V.VL _ | V.VS _) as v -> v
-
-and reduction_identity op (c : Store.cell) : V.value =
-  let is_int =
-    match c.Store.cbuf.Store.data with Store.I _ -> true | _ -> false
-  in
-  match (op, is_int) with
-  | Varclass.Rsum, true -> V.VI 0
-  | Varclass.Rsum, false -> V.VR 0.0
-  | Varclass.Rprod, true -> V.VI 1
-  | Varclass.Rprod, false -> V.VR 1.0
-  | Varclass.Rmax, true -> V.VI min_int
-  | Varclass.Rmax, false -> V.VR neg_infinity
-  | Varclass.Rmin, true -> V.VI max_int
-  | Varclass.Rmin, false -> V.VR infinity
-
-and combine_reduction op a b =
-  match (op, a, b) with
-  | Varclass.Rsum, V.VI x, V.VI y -> V.VI (x + y)
-  | Varclass.Rsum, _, _ -> V.VR (V.to_float a +. V.to_float b)
-  | Varclass.Rprod, V.VI x, V.VI y -> V.VI (x * y)
-  | Varclass.Rprod, _, _ -> V.VR (V.to_float a *. V.to_float b)
-  | Varclass.Rmax, V.VI x, V.VI y -> V.VI (max x y)
-  | Varclass.Rmax, _, _ -> V.VR (Float.max (V.to_float a) (V.to_float b))
-  | Varclass.Rmin, V.VI x, V.VI y -> V.VI (min x y)
-  | Varclass.Rmin, _, _ -> V.VR (Float.min (V.to_float a) (V.to_float b))
+  Store.set_cell l.Eval.l_iv (l.Eval.l_value_at trip);
+  match !bad with Some other -> other | None -> Eval.Snormal
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
@@ -938,66 +433,6 @@ type outcome = {
   ops : Perf.Machine.op_counts;
 }
 
-let snapshot (frame : frame) commons : (string * float list) list =
-  let one name (slot : Store.slot) acc =
-    match slot with
-    | Store.Scalar c -> (name, [ V.to_float (Store.get_cell c) ]) :: acc
-    | Store.Arr a ->
-      let size =
-        List.fold_left
-          (fun acc (lo, hi) -> acc * max 1 (hi - lo + 1))
-          1 a.Store.bounds
-      in
-      let size = min size (Store.length a.Store.abuf - a.Store.base) in
-      let vals = ref [] in
-      for i = a.Store.base + size - 1 downto a.Store.base do
-        vals := Store.to_float a.Store.abuf i :: !vals
-      done;
-      (name, !vals) :: acc
-  in
-  let acc = Hashtbl.fold one frame [] in
-  let acc =
-    Hashtbl.fold (fun n s acc -> one (Abi.common_key n) s acc) commons acc
-  in
-  Abi.sort_store acc
-
-(* COMMON storage is allocated before execution starts (the simulator
-   creates it lazily), so workers never mutate the commons table and
-   callee frames can be built inside parallel regions.  Bounds of
-   COMMON arrays must be compile-time constants for this — true of
-   every COMMON in the workload suite and of most of F77 practice. *)
-let init_commons (units : unit_info list) commons =
-  List.iter
-    (fun ui ->
-      List.iter
-        (fun (i : Symbol.info) ->
-          if i.common <> None && not (Hashtbl.mem commons i.name) then
-            match i.kind with
-            | Symbol.Scalar ->
-              Hashtbl.replace commons i.name
-                (Store.Scalar { Store.cbuf = Store.alloc i.typ 1; coff = 0 })
-            | Symbol.Array dims ->
-              let bounds =
-                List.map
-                  (fun (lo, hi) ->
-                    match
-                      (Symbol.const_eval ui.tbl lo, Symbol.const_eval ui.tbl hi)
-                    with
-                    | Some l, Some h -> (l, h)
-                    | _ -> err "COMMON array %s needs constant bounds" i.name)
-                  dims
-              in
-              let size =
-                List.fold_left
-                  (fun acc (lo, hi) -> acc * max 1 (hi - lo + 1))
-                  1 bounds
-              in
-              Hashtbl.replace commons i.name
-                (Store.Arr { Store.abuf = Store.alloc i.typ size; base = 0; bounds })
-            | Symbol.Routine | Symbol.External_fun | Symbol.Intrinsic -> ())
-        (Symbol.infos ui.tbl))
-    units
-
 let conflict_list (g : global) =
   Hashtbl.fold (fun _ c acc -> c :: acc) g.conflicts []
   |> List.sort (fun a b ->
@@ -1011,22 +446,7 @@ let run ?(domains = 4) ?(schedule = Pool.Chunk) ?(validate = false)
   let sink =
     match telemetry with Some s -> s | None -> Telemetry.default ()
   in
-  let units = Hashtbl.create 8 in
-  List.iter
-    (fun (u : Ast.program_unit) ->
-      Hashtbl.replace units u.Ast.uname { u; tbl = Symbol.build u })
-    prog.Ast.punits;
-  let main =
-    match
-      List.find_opt
-        (fun (u : Ast.program_unit) -> u.Ast.kind = Ast.Main)
-        prog.Ast.punits
-    with
-    | Some u -> u
-    | None -> err "no main program unit"
-  in
-  let commons = Hashtbl.create 8 in
-  init_commons (Hashtbl.fold (fun _ ui acc -> ui :: acc) units []) commons;
+  let units, main, commons = Eval.load prog in
   let plans = Plan.build prog in
   let pool =
     if validate then None else Some (Pool.create ~telemetry:sink domains)
@@ -1034,62 +454,39 @@ let run ?(domains = 4) ?(schedule = Pool.Chunk) ?(validate = false)
   Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown pool) @@ fun () ->
   let g =
     {
-      units;
-      commons;
       plans;
-      pool;
       schedule;
-      validate;
       predict;
-      max_steps;
-      steps = Atomic.make 0;
       sink;
       epoch = 0;
       conflicts = Hashtbl.create 8;
       bad_mutex = Mutex.create ();
     }
   in
-  let t =
-    {
-      g;
-      out_rev = [];
-      depth = 0;
-      in_parallel = false;
-      mon_iter = -1;
-      mon_loop = -1;
-      ops = fresh_ops ();
-    }
+  let hooks =
+    match pool with
+    | None -> { Eval.sequential with note; par_do = run_validated }
+    | Some pool -> { Eval.sequential with par_do = run_parallel pool }
   in
-  let main_ui = Hashtbl.find units main.Ast.uname in
-  let frame = build_frame t main_ui [] in
+  let c =
+    Eval.context ~units ~commons ~max_steps hooks
+      { g; mon_iter = -1; mon_loop = -1 }
+  in
+  let frame = Eval.build_frame c main [] in
   (* monotonic wall clock: NTP slew must not skew speedup tables *)
   let t0 = Telemetry.now_ns () in
-  (Telemetry.span sink "exec.run" @@ fun () ->
-   try
-     match exec_block t main_ui frame main.Ast.body with
-     | Snormal | Sreturn | Sstop -> ()
-     | Sgoto l -> err "GOTO %d escapes the main program" l
-   with
-   | Exit -> ()
-   | Failure msg -> err "%s" msg);
+  Telemetry.span sink "exec.run" (fun () -> Eval.exec_main c main frame);
   let wall = Int64.to_float (Int64.sub (Telemetry.now_ns ()) t0) /. 1e9 in
   {
-    output = List.rev t.out_rev;
+    output = List.rev c.Eval.out_rev;
     wall_s = wall;
-    stmts_executed = Atomic.get g.steps;
-    final_store = snapshot frame commons;
+    stmts_executed = Atomic.get c.Eval.steps;
+    final_store = Eval.snapshot c frame;
     conflicts = conflict_list g;
-    ops =
-      {
-        Perf.Machine.flops = float_of_int t.ops.o_flops;
-        mems = float_of_int t.ops.o_mems;
-        intrinsics = float_of_int t.ops.o_intr;
-        loop_iters = float_of_int t.ops.o_iters;
-        calls = float_of_int t.ops.o_calls;
-      };
+    ops = Eval.op_counts c.Eval.ops;
   }
 
-let force_parallel (prog : Ast.program) : Ast.program =
+let set_parallel flag (prog : Ast.program) : Ast.program =
   let rewrite (u : Ast.program_unit) =
     {
       u with
@@ -1098,25 +495,12 @@ let force_parallel (prog : Ast.program) : Ast.program =
           (fun (s : Ast.stmt) ->
             match s.Ast.node with
             | Ast.Do (h, body) ->
-              { s with Ast.node = Ast.Do ({ h with Ast.parallel = true }, body) }
+              { s with Ast.node = Ast.Do ({ h with Ast.parallel = flag }, body) }
             | _ -> s)
           u.Ast.body;
     }
   in
   { Ast.punits = List.map rewrite prog.Ast.punits }
 
-let strip_parallel (prog : Ast.program) : Ast.program =
-  let rewrite (u : Ast.program_unit) =
-    {
-      u with
-      Ast.body =
-        Ast.map_stmts
-          (fun (s : Ast.stmt) ->
-            match s.Ast.node with
-            | Ast.Do (h, body) ->
-              { s with Ast.node = Ast.Do ({ h with Ast.parallel = false }, body) }
-            | _ -> s)
-          u.Ast.body;
-    }
-  in
-  { Ast.punits = List.map rewrite prog.Ast.punits }
+let force_parallel = set_parallel true
+let strip_parallel = set_parallel false

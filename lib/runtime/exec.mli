@@ -1,11 +1,13 @@
 (** Multicore execution of analyzed Fortran programs.
 
-    A second interpreter alongside {!Sim.Interp}, sharing its ABI
-    (output formatting, COMMON keying, final-store snapshots) but
-    executing PARALLEL DO loops on real OCaml domains: iterations are
-    distributed over a {!Pool} under a chunked or self-scheduled
-    policy, loop bodies mutate shared {!Store} buffers in place, and
-    the per-loop {!Plan} supplies private copies, identity-seeded
+    The multicore runtime is the other parallel-loop policy over the
+    one evaluator ({!Sim.Eval}); the simulator ({!Sim.Interp}) is the
+    first.  Statements, calls and storage are the evaluator's, so both
+    agree on every sequential step by construction.  An outermost
+    PARALLEL DO runs on real OCaml domains: iterations are distributed
+    over a {!Pool} under a chunked or self-scheduled policy, loop
+    bodies mutate shared {!Sim.Store} buffers in place, and the
+    per-loop {!Plan} supplies private copies, identity-seeded
     reduction accumulators (combined deterministically in worker
     order at the join), and last-value write-back.
 
@@ -19,6 +21,7 @@
 
 open Fortran_front
 
+(** The same exception as {!Sim.Eval.Runtime_error}. *)
 exception Runtime_error of string
 
 type conflict_kind = Flow | Anti | Output

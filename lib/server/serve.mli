@@ -26,8 +26,7 @@ type t
     every session's engine and every request span emits to.
     [runner] fans each analysis's dependence-test buckets across a
     domain pool ([ped serve --analysis-domains N]) — requests are
-    interleaved on one domain, so every session may share it; raises
-    [Invalid_argument] if {!Audit.parallel_analysis} forbids it. *)
+    interleaved on one domain, so every session may share it. *)
 val create :
   ?telemetry:Telemetry.sink ->
   ?cache:Cache.t ->

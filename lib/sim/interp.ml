@@ -1,7 +1,6 @@
 open Fortran_front
-open Value
 
-exception Runtime_error of string
+exception Runtime_error = Eval.Runtime_error
 
 type order = Seq | Reverse | Shuffled of int
 
@@ -22,668 +21,167 @@ type outcome = {
   loop_cycles : (Ast.stmt_id * float) list;
 }
 
-let err fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
-
-type unit_info = { u : Ast.program_unit; tbl : Symbol.table }
-
-type state = {
-  units : (string, unit_info) Hashtbl.t;
-  commons : (string, slot) Hashtbl.t;
+(* The simulator's side of an evaluation context: the machine model's
+   clock and the array-access trace. *)
+type sim = {
   machine : Perf.Machine.t;
-  honor_parallel : bool;
   par_order : order;
-  max_steps : int;
-  mutable steps : int;
   mutable clock : float;
-  mutable depth : int;
-  mutable in_parallel : bool;
-  out_buf : Buffer.t;
-  mutable out_lines : string list;
   loop_cycles : (Ast.stmt_id, float) Hashtbl.t;
-  (* array-access tracing (the brute-force dependence oracle's tap) *)
-  trace : (access -> unit) option;
   mutable cur_sid : Ast.stmt_id;
   mutable instance : int;  (* statement instances, in execution order *)
   mutable loop_stack : (Ast.stmt_id * int) list;  (* innermost first *)
 }
 
-let record_access st ~var ~off ~write =
-  match st.trace with
-  | None -> ()
-  | Some f ->
-    f
-      {
-        a_sid = st.cur_sid;
-        a_var = var;
-        a_off = off;
-        a_write = write;
-        a_instance = st.instance;
-        a_iters = List.rev st.loop_stack;
-      }
+type ctx = sim Eval.ctx
 
-type frame = (string, slot) Hashtbl.t
+let charge (c : ctx) (ui : Eval.unit_info) exprs extra =
+  let m = c.side in
+  m.clock <-
+    m.clock
+    +. List.fold_left
+         (fun acc e -> acc +. Perf.Estimator.expr_cost m.machine ui.Eval.tbl e)
+         extra exprs
 
-type signal = Snormal | Sgoto of int | Sreturn | Sstop
-
-(* ------------------------------------------------------------------ *)
-(* Expression evaluation                                               *)
-(* ------------------------------------------------------------------ *)
-
-let typ_of_var (ui : unit_info) v = Symbol.typ_of ui.tbl v
-
-let find_slot _st ui (frame : frame) v : slot =
-  match Hashtbl.find_opt frame v with
-  | Some s -> s
-  | None -> (
-    (* late creation: undeclared scalar local *)
-    match Symbol.lookup ui.tbl v with
-    | Some { kind = Symbol.Scalar; typ; param; _ } ->
-      let store = alloc typ 1 in
-      (match param with
-      | Some _ -> (
-        match Symbol.param_value ui.tbl v with
-        | Some n -> store.(0) <- convert typ (VI n)
-        | None -> ())
-      | None -> ());
-      let s = Scalar { cstore = store; coff = 0 } in
-      Hashtbl.replace frame v s;
-      s
-    | _ -> err "variable %s has no storage in %s" v ui.u.Ast.uname)
-
-let rec eval st ui frame (e : Ast.expr) : value =
-  match e with
-  | Ast.Int n -> VI n
-  | Ast.Real f -> VR f
-  | Ast.Logic b -> VL b
-  | Ast.Str s -> VS s
-  | Ast.Var v -> (
-    match find_slot st ui frame v with
-    | Scalar c -> get c
-    | Arr _ -> err "array %s used as a scalar value" v)
-  | Ast.Index (b, args) -> (
-    match Symbol.lookup ui.tbl b with
-    | Some { kind = Symbol.Array _; _ } ->
-      let idxs = List.map (fun a -> to_int (eval st ui frame a)) args in
-      (match find_slot st ui frame b with
-      | Arr a ->
-        let off = offset a idxs in
-        record_access st ~var:b ~off ~write:false;
-        get { cstore = a.store; coff = off }
-      | Scalar _ -> err "%s is not an array" b)
-    | Some { kind = Symbol.Intrinsic; _ } -> eval_intrinsic st ui frame b args
-    | Some { kind = Symbol.External_fun; _ } ->
-      eval_function_call st ui frame b args
-    | _ -> err "cannot evaluate %s(...)" b)
-  | Ast.Un (Ast.Neg, a) -> (
-    match eval st ui frame a with
-    | VI n -> VI (-n)
-    | VR f -> VR (-.f)
-    | v -> err "cannot negate %s" (Format.asprintf "%a" pp_value v))
-  | Ast.Un (Ast.Not, a) -> VL (not (to_bool (eval st ui frame a)))
-  | Ast.Bin (op, a, b) -> (
-    match op with
-    | Ast.And -> VL (to_bool (eval st ui frame a) && to_bool (eval st ui frame b))
-    | Ast.Or -> VL (to_bool (eval st ui frame a) || to_bool (eval st ui frame b))
-    | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Pow ->
-      arith op (eval st ui frame a) (eval st ui frame b)
-    | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne ->
-      compare_vals op (eval st ui frame a) (eval st ui frame b))
-
-and arith op a b =
-  match (a, b) with
-  | VI x, VI y -> (
-    match op with
-    | Ast.Add -> VI (x + y)
-    | Ast.Sub -> VI (x - y)
-    | Ast.Mul -> VI (x * y)
-    | Ast.Div -> if y = 0 then err "integer division by zero" else VI (x / y)
-    | Ast.Pow ->
-      if y < 0 then VI 0
-      else VI (int_of_float (Float.round (float_of_int x ** float_of_int y)))
-    | _ -> assert false)
-  | (VI _ | VR _), (VI _ | VR _) -> (
-    let x = to_float a and y = to_float b in
-    match op with
-    | Ast.Add -> VR (x +. y)
-    | Ast.Sub -> VR (x -. y)
-    | Ast.Mul -> VR (x *. y)
-    | Ast.Div -> VR (x /. y)
-    | Ast.Pow -> VR (x ** y)
-    | _ -> assert false)
-  | _ -> err "bad operands for arithmetic"
-
-and compare_vals op a b =
-  let x = to_float a and y = to_float b in
-  let r =
-    match op with
-    | Ast.Lt -> x < y
-    | Ast.Le -> x <= y
-    | Ast.Gt -> x > y
-    | Ast.Ge -> x >= y
-    | Ast.Eq -> x = y
-    | Ast.Ne -> x <> y
-    | _ -> assert false
-  in
-  VL r
-
-and eval_intrinsic st ui frame name args : value =
-  let vs () = List.map (eval st ui frame) args in
-  let one () =
-    match vs () with [ v ] -> v | _ -> err "%s expects one argument" name
-  in
-  let two () =
-    match vs () with
-    | [ a; b ] -> (a, b)
-    | _ -> err "%s expects two arguments" name
-  in
-  match name with
-  | "ABS" -> (
-    match one () with VI n -> VI (abs n) | v -> VR (Float.abs (to_float v)))
-  | "MOD" -> (
-    match two () with
-    | VI a, VI b -> if b = 0 then err "MOD by zero" else VI (a mod b)
-    | a, b -> VR (Float.rem (to_float a) (to_float b)))
-  | "MAX" | "MIN" -> (
-    let vs = vs () in
-    let all_int = List.for_all (function VI _ -> true | _ -> false) vs in
-    let sel = if name = "MAX" then Float.max else Float.min in
-    let r = List.fold_left (fun acc v -> sel acc (to_float v))
-        (to_float (List.hd vs)) (List.tl vs)
-    in
-    if all_int then VI (int_of_float r) else VR r)
-  | "SQRT" -> VR (sqrt (to_float (one ())))
-  | "EXP" -> VR (exp (to_float (one ())))
-  | "LOG" -> VR (log (to_float (one ())))
-  | "SIN" -> VR (sin (to_float (one ())))
-  | "COS" -> VR (cos (to_float (one ())))
-  | "TAN" -> VR (tan (to_float (one ())))
-  | "FLOAT" | "DBLE" | "SNGL" -> VR (to_float (one ()))
-  | "INT" -> VI (to_int (one ()))
-  | "NINT" -> VI (int_of_float (Float.round (to_float (one ()))))
-  | "SIGN" -> (
-    match two () with
-    | a, b ->
-      let m = Float.abs (to_float a) in
-      let r = if to_float b < 0.0 then -.m else m in
-      (match a with VI _ -> VI (int_of_float r) | _ -> VR r))
-  | _ -> err "unknown intrinsic %s" name
-
-(* ------------------------------------------------------------------ *)
-(* Frames and calls                                                    *)
-(* ------------------------------------------------------------------ *)
-
-and build_frame st (ui : unit_info) (bindings : (string * slot) list) : frame =
-  let frame : frame = Hashtbl.create 16 in
-  List.iter (fun (n, s) -> Hashtbl.replace frame n s) bindings;
-  (* pass 1: scalars (parameters seeded), so array dims can use them *)
-  List.iter
-    (fun (i : Symbol.info) ->
-      if not (Hashtbl.mem frame i.name) then
-        match i.kind with
-        | Symbol.Scalar ->
-          if i.common <> None then begin
-            let key = i.name in
-            let slot =
-              match Hashtbl.find_opt st.commons key with
-              | Some s -> s
-              | None ->
-                let s = Scalar { cstore = alloc i.typ 1; coff = 0 } in
-                Hashtbl.replace st.commons key s;
-                s
-            in
-            Hashtbl.replace frame i.name slot
-          end
-          else begin
-            let store = alloc i.typ 1 in
-            (match Symbol.param_value ui.tbl i.name with
-            | Some n -> store.(0) <- convert i.typ (VI n)
-            | None -> (
-              (* DATA initial value: literals only *)
-              match i.data with
-              | Some (Ast.Int n) -> store.(0) <- convert i.typ (VI n)
-              | Some (Ast.Real f) -> store.(0) <- convert i.typ (VR f)
-              | Some (Ast.Logic b) -> store.(0) <- convert i.typ (VL b)
-              | Some (Ast.Un (Ast.Neg, Ast.Int n)) ->
-                store.(0) <- convert i.typ (VI (-n))
-              | Some (Ast.Un (Ast.Neg, Ast.Real f)) ->
-                store.(0) <- convert i.typ (VR (-.f))
-              | Some _ | None -> ()));
-            Hashtbl.replace frame i.name (Scalar { cstore = store; coff = 0 })
-          end
-        | Symbol.Array _ | Symbol.Routine | Symbol.External_fun
-        | Symbol.Intrinsic -> ())
-    (Symbol.infos ui.tbl);
-  (* pass 2: arrays (bounds may reference formals and parameters) *)
-  List.iter
-    (fun (i : Symbol.info) ->
-      match i.kind with
-      | Symbol.Array dims ->
-        let bounds =
-          List.map
-            (fun (lo, hi) ->
-              let lo = to_int (eval st ui frame lo) in
-              let hi =
-                match hi with
-                | Ast.Int n when n = max_int ->
-                  (* assumed-size: extent comes from the storage *)
-                  max_int
-                | e -> to_int (eval st ui frame e)
-              in
-              (lo, hi))
-            dims
-        in
-        (match Hashtbl.find_opt frame i.name with
-        | Some (Arr view) ->
-          (* formal array: reshape the passed storage to our bounds *)
-          let bounds =
-            (* resolve assumed-size final extent against storage *)
-            match List.rev bounds with
-            | (lo, hi) :: rest when hi = max_int ->
-              let other =
-                List.fold_left
-                  (fun acc (l, h) -> acc * max 1 (h - l + 1))
-                  1 rest
-              in
-              let avail = Array.length view.store - view.base in
-              let extent = max 1 (avail / max 1 other) in
-              List.rev ((lo, lo + extent - 1) :: rest)
-            | _ -> bounds
-          in
-          Hashtbl.replace frame i.name
-            (Arr { store = view.store; base = view.base; bounds })
-        | Some (Scalar _) -> ()
-        | None ->
-          let size =
-            List.fold_left (fun acc (lo, hi) -> acc * max 1 (hi - lo + 1)) 1
-              bounds
-          in
-          if i.common <> None then begin
-            let slot =
-              match Hashtbl.find_opt st.commons i.name with
-              | Some s -> s
-              | None ->
-                let s = Arr { store = alloc i.typ size; base = 0; bounds } in
-                Hashtbl.replace st.commons i.name s;
-                s
-            in
-            Hashtbl.replace frame i.name slot
-          end
-          else
-            Hashtbl.replace frame i.name
-              (Arr { store = alloc i.typ size; base = 0; bounds }))
-      | Symbol.Scalar | Symbol.Routine | Symbol.External_fun
-      | Symbol.Intrinsic -> ())
-    (Symbol.infos ui.tbl);
-  frame
-
-and bind_actuals st caller_ui caller_frame (callee : unit_info)
-    (formals : string list) (actuals : Ast.expr list) : (string * slot) list =
-  let bind formal actual =
-    let formal_is_array = Symbol.is_array callee.tbl formal in
-    match actual with
-    | Ast.Var v -> (
-      match find_slot st caller_ui caller_frame v with
-      | Scalar c -> (formal, Scalar c)
-      | Arr a -> (formal, Arr a))
-    | Ast.Index (b, idxs)
-      when Symbol.is_array caller_ui.tbl b ->
-      let idxs = List.map (fun a -> to_int (eval st caller_ui caller_frame a)) idxs in
-      (match find_slot st caller_ui caller_frame b with
-      | Arr a ->
-        let off = offset a idxs in
-        if formal_is_array then
-          (* the callee sees storage starting at this element *)
-          (formal, Arr { store = a.store; base = off; bounds = [] })
-        else (formal, Scalar { cstore = a.store; coff = off })
-      | Scalar _ -> err "%s is not an array" b)
-    | e ->
-      (* expression argument: pass a temporary *)
-      let typ = typ_of_var callee formal in
-      let store = alloc typ 1 in
-      store.(0) <- convert typ (eval st caller_ui caller_frame e);
-      (formal, Scalar { cstore = store; coff = 0 })
-  in
-  let rec go fs acts =
-    match (fs, acts) with
-    | [], _ -> []
-    | f :: fs, a :: acts -> bind f a :: go fs acts
-    | f :: _, [] -> err "missing actual argument for %s" f
-  in
-  go formals actuals
-
-and call_unit st (callee : unit_info) (bindings : (string * slot) list) : frame
-    =
-  st.depth <- st.depth + 1;
-  if st.depth > 200 then err "call depth exceeded (recursion?)";
-  let frame = build_frame st callee bindings in
-  let signal = exec_block st callee frame callee.u.Ast.body in
-  (match signal with
-  | Snormal | Sreturn -> ()
-  | Sstop -> st.depth <- st.depth - 1; raise Exit
-  | Sgoto l -> err "GOTO %d escapes %s" l callee.u.Ast.uname);
-  st.depth <- st.depth - 1;
-  frame
-
-and eval_function_call st ui frame name args : value =
-  match Hashtbl.find_opt st.units name with
-  | Some callee -> (
-    let formals =
-      match callee.u.Ast.kind with
-      | Ast.Function (_, fs) -> fs
-      | _ -> err "%s is not a function" name
-    in
-    st.clock <- st.clock +. st.machine.Perf.Machine.call_overhead;
-    let bindings = bind_actuals st ui frame callee formals args in
-    let callee_frame = call_unit st callee bindings in
-    match Hashtbl.find_opt callee_frame name with
-    | Some (Scalar c) -> get c
-    | _ -> err "function %s returned no value" name)
-  | None -> err "unknown function %s (external functions must be supplied)" name
-
-(* ------------------------------------------------------------------ *)
-(* Statement execution                                                 *)
-(* ------------------------------------------------------------------ *)
-
-and charge st ui exprs extra =
-  let c =
-    List.fold_left
-      (fun acc e -> acc +. Perf.Estimator.expr_cost st.machine ui.tbl e)
-      extra exprs
-  in
-  st.clock <- st.clock +. c
-
-and exec_block st ui frame (stmts : Ast.stmt list) : signal =
-  let arr = Array.of_list stmts in
-  let n = Array.length arr in
-  let rec from i : signal =
-    if i >= n then Snormal
-    else
-      match exec_stmt st ui frame arr.(i) with
-      | Snormal -> from (i + 1)
-      | Sgoto l -> (
-        (* a label in this block? (possibly behind us) *)
-        match
-          Array.to_list arr
-          |> List.mapi (fun j s -> (j, s))
-          |> List.find_opt (fun (_, (s : Ast.stmt)) -> s.Ast.label = Some l)
-        with
-        | Some (j, _) -> from j
-        | None -> Sgoto l)
-      | (Sreturn | Sstop) as s -> s
-  in
-  from 0
-
-and exec_stmt st ui frame (s : Ast.stmt) : signal =
-  st.steps <- st.steps + 1;
-  if st.steps > st.max_steps then err "statement budget exhausted";
-  st.cur_sid <- s.Ast.sid;
-  st.instance <- st.instance + 1;
+(* Static cost of each statement, charged before it runs; a DO header
+   is charged by [loop] so that it counts towards the loop's time. *)
+let stmt (c : ctx) ui (s : Ast.stmt) =
+  let m = c.side in
+  m.cur_sid <- s.Ast.sid;
+  m.instance <- m.instance + 1;
   match s.Ast.node with
-  | Ast.Continue -> Snormal
-  | Ast.Goto l -> Sgoto l
-  | Ast.Return -> Sreturn
-  | Ast.Stop -> Sstop
-  | Ast.Assign (lhs, rhs) -> (
-    charge st ui [ lhs; rhs ] st.machine.Perf.Machine.mem_cost;
-    let v = eval st ui frame rhs in
-    match lhs with
-    | Ast.Var name -> (
-      match find_slot st ui frame name with
-      | Scalar c -> set (typ_of_var ui name) c v; Snormal
-      | Arr _ -> err "cannot assign whole array %s" name)
-    | Ast.Index (b, idxs) -> (
-      let idxs = List.map (fun a -> to_int (eval st ui frame a)) idxs in
-      match find_slot st ui frame b with
-      | Arr a ->
-        let off = offset a idxs in
-        record_access st ~var:b ~off ~write:true;
-        set (typ_of_var ui b) { cstore = a.store; coff = off } v;
-        Snormal
-      | Scalar _ -> err "%s is not an array" b)
-    | _ -> err "bad assignment target")
-  | Ast.Print args ->
-    charge st ui args 10.0;
-    let line = Abi.print_line (List.map (eval st ui frame) args) in
-    st.out_lines <- line :: st.out_lines;
-    Snormal
-  | Ast.If (branches, els) -> (
-    charge st ui (List.map fst branches) 0.0;
-    let rec pick = function
-      | [] -> exec_block st ui frame els
-      | (c, body) :: rest ->
-        if to_bool (eval st ui frame c) then exec_block st ui frame body
-        else pick rest
-    in
-    pick branches)
-  | Ast.Call (name, args) -> (
-    charge st ui args st.machine.Perf.Machine.call_overhead;
-    match Hashtbl.find_opt st.units name with
-    | Some callee ->
-      let formals =
-        match callee.u.Ast.kind with
-        | Ast.Subroutine fs -> fs
-        | Ast.Function (_, fs) -> fs
-        | Ast.Main -> err "cannot CALL the main program"
-      in
-      let bindings = bind_actuals st ui frame callee formals args in
-      let _ = call_unit st callee bindings in
-      Snormal
-    | None -> err "unknown subroutine %s" name)
-  | Ast.Do (h, body) ->
-    let t0 = st.clock in
-    let r = exec_do st ui frame s h body in
-    let dt = st.clock -. t0 in
-    Hashtbl.replace st.loop_cycles s.Ast.sid
-      (dt +. Option.value ~default:0.0 (Hashtbl.find_opt st.loop_cycles s.Ast.sid));
-    r
+  | Ast.Assign (lhs, rhs) ->
+    charge c ui [ lhs; rhs ] m.machine.Perf.Machine.mem_cost
+  | Ast.Print args -> charge c ui args 10.0
+  | Ast.If (branches, _) -> charge c ui (List.map fst branches) 0.0
+  | Ast.Call (_, args) -> charge c ui args m.machine.Perf.Machine.call_overhead
+  | Ast.Continue | Ast.Goto _ | Ast.Return | Ast.Stop | Ast.Do _ -> ()
 
-and exec_do st ui frame (s : Ast.stmt) (h : Ast.do_header) body : signal =
-  charge st ui
-    ([ h.Ast.lo; h.Ast.hi ] @ Option.to_list h.Ast.step)
-    0.0;
-  let lo = eval st ui frame h.Ast.lo in
-  let hi = eval st ui frame h.Ast.hi in
-  let step =
-    match h.Ast.step with
-    | None -> VI 1
-    | Some e -> eval st ui frame e
-  in
-  let is_int =
-    match (lo, hi, step) with VI _, VI _, VI _ -> true | _ -> false
-  in
-  let iv_cell =
-    match find_slot st ui frame h.Ast.dvar with
-    | Scalar c -> c
-    | Arr _ -> err "loop variable %s is an array" h.Ast.dvar
-  in
-  let iv_typ = typ_of_var ui h.Ast.dvar in
-  let trip =
-    if is_int then begin
-      let l = to_int lo and hh = to_int hi and st_ = to_int step in
-      if st_ = 0 then err "zero DO step";
-      max 0 (((hh - l) + st_) / st_)
-    end
-    else begin
-      let l = to_float lo and hh = to_float hi and st_ = to_float step in
-      if st_ = 0.0 then err "zero DO step";
-      max 0 (int_of_float (Float.trunc (((hh -. l) +. st_) /. st_)))
-    end
-  in
-  let value_at k =
-    if is_int then VI (to_int lo + (k * to_int step))
-    else VR (to_float lo +. (float_of_int k *. to_float step))
-  in
-  let run_iteration k : signal =
-    set iv_typ iv_cell (value_at k);
-    st.clock <- st.clock +. st.machine.Perf.Machine.loop_overhead;
-    st.loop_stack <- (s.Ast.sid, k) :: st.loop_stack;
-    let r = exec_block st ui frame body in
-    st.loop_stack <- List.tl st.loop_stack;
-    r
-  in
-  (* F77: the DO variable receives its initial value even when the
-     loop runs zero times *)
-  set iv_typ iv_cell (value_at 0);
-  let parallel = h.Ast.parallel && st.honor_parallel && not st.in_parallel in
-  let result =
-    if not parallel then begin
-      let rec go k =
-        if k >= trip then begin
-          (* normal completion: F77 leaves the DO variable at the first
-             value that failed the iteration test *)
-          set iv_typ iv_cell (value_at trip);
-          Snormal
-        end
-        else
-          match run_iteration k with
-          | Snormal -> go (k + 1)
-          | other -> other
-      in
-      go 0
-    end
-    else begin
-      (* simulated parallel execution: run iterations one at a time in
-         [par_order], measuring each; charge block-scheduled time *)
-      let order = Array.init trip Fun.id in
-      (match st.par_order with
-      | Seq -> ()
-      | Reverse ->
-        for i = 0 to (trip / 2) - 1 do
-          let t = order.(i) in
-          order.(i) <- order.(trip - 1 - i);
-          order.(trip - 1 - i) <- t
-        done
-      | Shuffled seed ->
-        let rstate = Random.State.make [| seed |] in
-        for i = trip - 1 downto 1 do
-          let j = Random.State.int rstate (i + 1) in
-          let t = order.(i) in
-          order.(i) <- order.(j);
-          order.(j) <- t
-        done);
-      let p = st.machine.Perf.Machine.processors in
-      let buckets = Array.make (max p 1) 0.0 in
-      let chunk = (trip + p - 1) / max p 1 in
-      let start_clock = st.clock in
-      st.in_parallel <- true;
-      let bad = ref None in
-      Array.iter
-        (fun k ->
-          if !bad = None then begin
-            let t0 = st.clock in
-            (match run_iteration k with
-            | Snormal -> ()
-            | other -> bad := Some other);
-            let delta = st.clock -. t0 in
-            let proc =
-              match st.machine.Perf.Machine.schedule with
-              | Perf.Machine.Block ->
-                if chunk = 0 then 0 else min (p - 1) (k / max chunk 1)
-              | Perf.Machine.Cyclic -> k mod max p 1
-            in
-            buckets.(proc) <- buckets.(proc) +. delta
-          end)
-        order;
-      st.in_parallel <- false;
-      let par_time = Array.fold_left Float.max 0.0 buckets in
-      st.clock <-
-        start_clock +. st.machine.Perf.Machine.fork_join +. par_time;
-      (* leave the induction variable at its sequential final value so
-         results do not depend on the iteration order *)
-      set iv_typ iv_cell (value_at trip);
-      match !bad with Some sig_ -> sig_ | None -> Snormal
-    end
-  in
-  ignore s;
-  result
+let loop (c : ctx) ui frame (s : Ast.stmt) (h : Ast.do_header) body =
+  let m = c.side in
+  let t0 = m.clock in
+  charge c ui ([ h.Ast.lo; h.Ast.hi ] @ Option.to_list h.Ast.step) 0.0;
+  let r = Eval.exec_do c ui frame s h body in
+  let prev = Option.value ~default:0.0 (Hashtbl.find_opt m.loop_cycles s.Ast.sid) in
+  Hashtbl.replace m.loop_cycles s.Ast.sid (m.clock -. t0 +. prev);
+  r
 
-(* ------------------------------------------------------------------ *)
-(* Entry point                                                         *)
-(* ------------------------------------------------------------------ *)
+let iteration (c : ctx) ui frame (l : Eval.loop) k =
+  let m = c.side in
+  m.clock <- m.clock +. m.machine.Perf.Machine.loop_overhead;
+  m.loop_stack <- (l.Eval.l_stmt.Ast.sid, k) :: m.loop_stack;
+  let r = Eval.exec_block c ui frame l.Eval.l_body in
+  m.loop_stack <- List.tl m.loop_stack;
+  r
 
-let snapshot (frame : frame) commons : (string * float list) list =
-  let one name slot acc =
-    match slot with
-    | Scalar c -> (name, [ to_float (get c) ]) :: acc
-    | Arr a ->
-      let vals = ref [] in
-      let size =
-        List.fold_left (fun acc (lo, hi) -> acc * max 1 (hi - lo + 1)) 1
-          a.bounds
-      in
-      let size = min size (Array.length a.store - a.base) in
-      for i = a.base + size - 1 downto a.base do
-        vals := to_float a.store.(i) :: !vals
-      done;
-      (name, !vals) :: acc
-  in
-  let acc = Hashtbl.fold one frame [] in
-  let acc =
-    Hashtbl.fold (fun n s acc -> one (Abi.common_key n) s acc) commons acc
-  in
-  Abi.sort_store acc
+(* The simulated parallel loop: iterations run one at a time in
+   [par_order], each measured on the simulated clock and charged to
+   the processor the machine's schedule gives it; the loop costs
+   fork/join plus the busiest processor's time. *)
+let par_do (c : ctx) ui frame (l : Eval.loop) =
+  let m = c.side and trip = l.Eval.l_trip in
+  let order = Array.init trip Fun.id in
+  (match m.par_order with
+  | Seq -> ()
+  | Reverse ->
+    for i = 0 to (trip / 2) - 1 do
+      let t = order.(i) in
+      order.(i) <- order.(trip - 1 - i);
+      order.(trip - 1 - i) <- t
+    done
+  | Shuffled seed ->
+    let rstate = Random.State.make [| seed |] in
+    for i = trip - 1 downto 1 do
+      let j = Random.State.int rstate (i + 1) in
+      let t = order.(i) in
+      order.(i) <- order.(j);
+      order.(j) <- t
+    done);
+  let p = m.machine.Perf.Machine.processors in
+  let buckets = Array.make (max p 1) 0.0 in
+  let chunk = (trip + p - 1) / max p 1 in
+  let start_clock = m.clock in
+  c.in_parallel <- true;
+  let bad = ref None in
+  Array.iter
+    (fun k ->
+      if !bad = None then begin
+        let t0 = m.clock in
+        (match Eval.iteration c ui frame l l.Eval.l_iv k with
+        | Eval.Snormal -> ()
+        | other -> bad := Some other);
+        let delta = m.clock -. t0 in
+        let proc =
+          match m.machine.Perf.Machine.schedule with
+          | Perf.Machine.Block ->
+            if chunk = 0 then 0 else min (p - 1) (k / max chunk 1)
+          | Perf.Machine.Cyclic -> k mod max p 1
+        in
+        buckets.(proc) <- buckets.(proc) +. delta
+      end)
+    order;
+  c.in_parallel <- false;
+  let par_time = Array.fold_left Float.max 0.0 buckets in
+  m.clock <- start_clock +. m.machine.Perf.Machine.fork_join +. par_time;
+  (* leave the induction variable at its sequential final value so
+     results do not depend on the iteration order *)
+  Store.set_cell l.Eval.l_iv (l.Eval.l_value_at trip);
+  match !bad with Some sig_ -> sig_ | None -> Eval.Snormal
 
 let run ?(machine = Perf.Machine.default) ?(honor_parallel = true)
     ?(par_order = Seq) ?(max_steps = 50_000_000) ?trace (prog : Ast.program) :
     outcome =
-  let units = Hashtbl.create 8 in
-  List.iter
-    (fun (u : Ast.program_unit) ->
-      Hashtbl.replace units u.Ast.uname { u; tbl = Symbol.build u })
-    prog.Ast.punits;
-  let main =
-    match
-      List.find_opt
-        (fun (u : Ast.program_unit) -> u.Ast.kind = Ast.Main)
-        prog.Ast.punits
-    with
-    | Some u -> u
-    | None -> err "no main program unit"
+  let units, main, commons = Eval.load prog in
+  let note =
+    match trace with
+    | None -> Eval.sequential.Eval.note
+    | Some f ->
+      fun (c : ctx) ~write ~elem var _ off ->
+        if elem then
+          f
+            {
+              a_sid = c.side.cur_sid;
+              a_var = var;
+              a_off = off;
+              a_write = write;
+              a_instance = c.side.instance;
+              a_iters = List.rev c.side.loop_stack;
+            }
   in
-  let st =
+  let hooks =
     {
-      units;
-      commons = Hashtbl.create 8;
-      machine;
-      honor_parallel;
-      par_order;
-      max_steps;
-      steps = 0;
-      clock = 0.0;
-      depth = 0;
-      in_parallel = false;
-      out_buf = Buffer.create 256;
-      out_lines = [];
-      loop_cycles = Hashtbl.create 16;
-      trace;
-      cur_sid = -1;
-      instance = 0;
-      loop_stack = [];
+      Eval.stmt;
+      call_fn =
+        (fun c -> c.side.clock <- c.side.clock +. machine.Perf.Machine.call_overhead);
+      note;
+      loop;
+      iteration;
+      par_do = (if honor_parallel then par_do else Eval.seq_loop);
     }
   in
-  let main_ui = Hashtbl.find units main.Ast.uname in
-  let frame = build_frame st main_ui [] in
-  (try
-     match exec_block st main_ui frame main.Ast.body with
-     | Snormal | Sreturn | Sstop -> ()
-     | Sgoto l -> err "GOTO %d escapes the main program" l
-   with
-  | Exit -> ()
-  | Failure msg -> err "%s" msg);
-  ignore st.out_buf;
+  let c =
+    Eval.context ~units ~commons ~max_steps hooks
+      {
+        machine;
+        par_order;
+        clock = 0.0;
+        loop_cycles = Hashtbl.create 16;
+        cur_sid = -1;
+        instance = 0;
+        loop_stack = [];
+      }
+  in
+  let frame = Eval.build_frame c main [] in
+  Eval.exec_main c main frame;
   {
-    output = List.rev st.out_lines;
-    cycles = st.clock;
-    stmts_executed = st.steps;
-    final_store = snapshot frame st.commons;
+    output = List.rev c.Eval.out_rev;
+    cycles = c.side.clock;
+    stmts_executed = Atomic.get c.Eval.steps;
+    final_store = Eval.snapshot c frame;
     loop_cycles =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.loop_cycles []
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.side.loop_cycles []
       |> List.sort compare;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Comparisons                                                         *)
-(* ------------------------------------------------------------------ *)
 
 (* Comparison conventions live in {!Abi}, shared with the multicore
    runtime; re-exported here for existing callers. *)

@@ -1,17 +1,16 @@
-(** The execution simulator: a Fortran-subset interpreter with a
-    simulated parallel machine.
+(** The execution simulator: the paper's machine model as a
+    parallel-loop policy over the one evaluator ({!Eval}).
 
-    Sequential semantics follow Fortran 77 (by-reference arguments,
-    COMMON storage shared by name, column-major adjustable arrays,
-    truncating integer division, DO trip counts computed on entry).
-
-    PARALLEL DO loops execute their iterations one at a time (so the
-    simulation is deterministic) but the {e simulated clock} charges
-    them as the machine would run them: iterations are block-scheduled
-    onto the machine's processors, each processor's time is the sum of
-    its iterations' measured costs, and the loop costs
-    fork/join + max over processors.  Only the outermost parallel
-    loop spreads; inner parallel loops run sequentially on their
+    The simulator runs the program sequentially and keeps a
+    {e simulated clock}.  Each statement is charged its static cost
+    ({!Perf.Estimator.expr_cost}) before it runs, and every DO
+    iteration pays the machine's loop overhead.  An outermost PARALLEL
+    DO runs its iterations one at a time (so the simulation is
+    deterministic) but charges them as the machine would run them.
+    Iterations are block- or cyclic-scheduled onto the machine's
+    processors, each processor's time is the sum of its iterations'
+    measured costs, and the loop costs fork/join + max over
+    processors.  Inner parallel loops run sequentially on their
     processor, as on the machines Ped targeted.
 
     [par_order] permutes the execution order of parallel-loop
@@ -22,6 +21,7 @@
 
 open Fortran_front
 
+(** The same exception as {!Eval.Runtime_error}. *)
 exception Runtime_error of string
 
 type order = Seq | Reverse | Shuffled of int  (** seed *)
@@ -65,8 +65,9 @@ type outcome = {
     @param max_steps statement budget, guards runaways
     @param trace called once per array-element access, in execution
            order (see {!access})
-    @raise Runtime_error on missing main, bad subscripts, recursion,
-           or budget exhaustion *)
+    @raise Runtime_error on missing main, a COMMON array with
+           non-constant bounds, bad subscripts, recursion, or budget
+           exhaustion *)
 val run :
   ?machine:Perf.Machine.t ->
   ?honor_parallel:bool ->

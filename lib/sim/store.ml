@@ -1,5 +1,5 @@
 open Fortran_front
-module V = Sim.Value
+module V = Value
 
 type data =
   | F of floatarray
@@ -95,7 +95,7 @@ let offset (a : arr) (idxs : int list) : int =
     | (lb, ub) :: bounds, i :: idxs ->
       (* per-dimension range checks are deliberately omitted (Fortran
          programs linearize); the storage bounds check below guards
-         memory, exactly as the simulator ABI does *)
+         memory *)
       let size = if ub >= lb then ub - lb + 1 else 1 in
       go (acc + ((i - lb) * stride)) (stride * size) bounds idxs
     | _ -> failwith "subscript count mismatch"

@@ -1,19 +1,23 @@
-(** Runtime storage: typed, unboxed, shared-memory buffers.
+(** Program storage: typed, unboxed, shared-memory buffers.
 
-    Unlike the simulator's [value array] slots (boxed values behind a
-    uniform representation), the runtime stores each variable in a
-    flat buffer matching its declared Fortran type: [floatarray] for
+    Every variable the evaluator ({!Eval}) executes lives in a flat
+    buffer matching its declared Fortran type: [floatarray] for
     REAL/DOUBLE, [int array] for INTEGER, [bool array] for LOGICAL.
+    Frames view that storage through {!slot}s: a scalar is a one-element
+    view and an array element is an offset view, which gives Fortran's
+    by-reference argument passing (including passing [A(5)] as the start
+    of an array and reshaping across a call boundary) for free.
+
     Element reads and writes are single word-sized memory operations,
     so concurrent domains may touch {e distinct} elements of the same
     buffer without copying, locking, or tearing (the OCaml 5 memory
     model guarantees no out-of-thin-air values for such races).
 
     Each buffer also carries optional {e shadow memory} for the
-    dynamic dependence validator: per-element last-writer/last-reader
-    iteration stamps, epoch-tagged so instrumented loops need no O(n)
-    clearing between runs, plus an exclusion tag for storage the
-    current parallel loop privatizes. *)
+    runtime's dynamic dependence validator: per-element
+    last-writer/last-reader iteration stamps, epoch-tagged so
+    instrumented loops need no O(n) clearing between runs, plus an
+    exclusion tag for storage the current parallel loop privatizes. *)
 
 open Fortran_front
 
@@ -46,13 +50,13 @@ val alloc_like : buf -> int -> buf
 
 val length : buf -> int
 
-(** Read/write one element, converting to/from the simulator's
-    {!Sim.Value.value} at the boundary.  Writes convert to the
-    buffer's declared type exactly as the simulator's typed [set]
-    does (truncation into INTEGER slots, promotion into REAL). *)
-val get : buf -> int -> Sim.Value.value
+(** Read/write one element, converting to/from {!Value.value} at the
+    boundary.  Writes convert to the {e buffer's} type (truncation into
+    INTEGER storage, promotion into REAL), whatever the declared type
+    of the name the write goes through. *)
+val get : buf -> int -> Value.value
 
-val set : buf -> int -> Sim.Value.value -> unit
+val set : buf -> int -> Value.value -> unit
 
 val to_float : buf -> int -> float
 
@@ -67,11 +71,13 @@ type arr = { abuf : buf; base : int; bounds : (int * int) list }
 
 type slot = Scalar of cell | Arr of arr
 
-val get_cell : cell -> Sim.Value.value
-val set_cell : cell -> Sim.Value.value -> unit
+val get_cell : cell -> Value.value
+val set_cell : cell -> Value.value -> unit
 
-(** Column-major linearization with the final storage-bounds check,
-    same rules as the simulator ABI.
+(** [offset arr idxs] — column-major linearization of [idxs] against
+    the view's bounds.  Individual dimensions are not range-checked
+    (Fortran programs linearize); only the final offset is checked
+    against the storage.
     @raise Failure on subscript count mismatch or out-of-bounds *)
 val offset : arr -> int list -> int
 

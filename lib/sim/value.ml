@@ -35,39 +35,7 @@ let convert typ v =
   | Ast.Tlogical, _ -> VL (to_bool v)
   | _, _ -> v
 
-type cell = { cstore : value array; coff : int }
-
-let get c = c.cstore.(c.coff)
-let set typ c v = c.cstore.(c.coff) <- convert typ v
-
-type arr = { store : value array; base : int; bounds : (int * int) list }
-
-let offset (a : arr) (idxs : int list) : int =
-  let rec go acc stride bounds idxs =
-    match (bounds, idxs) with
-    | [], [] -> acc
-    | (lb, ub) :: bounds, i :: idxs ->
-      (* do not range-check individual dimensions (Fortran programs
-         routinely linearize); the final bounds check below guards
-         the storage *)
-      let size = if ub >= lb then ub - lb + 1 else 1 in
-      go (acc + ((i - lb) * stride)) (stride * size) bounds idxs
-    | _ -> failwith "subscript count mismatch"
-  in
-  let off = a.base + go 0 1 a.bounds idxs in
-  if off < 0 || off >= Array.length a.store then
-    failwith
-      (Printf.sprintf "subscript out of bounds (offset %d of %d)" off
-         (Array.length a.store))
-  else off
-
-let elem_cell a idxs = { cstore = a.store; coff = offset a idxs }
-
-type slot = Scalar of cell | Arr of arr
-
 let zero_of = function
   | Ast.Tinteger -> VI 0
   | Ast.Treal | Ast.Tdouble -> VR 0.0
   | Ast.Tlogical -> VL false
-
-let alloc typ n = Array.make (max n 1) (zero_of typ)

@@ -166,6 +166,34 @@ let suite =
             check_matches ~exact:true w.Workloads.name (parallelized w)
               ~domains:1 ~schedule:Runtime.Pool.Chunk)
           Workloads.all);
+    case "ill-typed actual: simulator and runtime share storage rules"
+      (fun () ->
+        (* a REAL array seen through an INTEGER formal: writes convert
+           to the storage's type, so both print 1.5 *)
+        let program =
+          parse
+            {|
+      PROGRAM PUN
+      REAL A(4)
+      DO I = 1, 4
+        A(I) = 0.5
+      ENDDO
+      CALL SETI(A, 4)
+      PRINT *, A(1), A(2), A(3), A(4)
+      END
+      SUBROUTINE SETI(B, N)
+      INTEGER N
+      INTEGER B(N)
+      DO I = 1, N
+        B(I) = B(I) + 1
+      ENDDO
+      END
+|}
+        in
+        check_matches ~exact:true "punning" program ~domains:1
+          ~schedule:Runtime.Pool.Chunk;
+        check_bool "stores 1.5" true
+          ((seq_reference program).Sim.Interp.output = [ "1.5 1.5 1.5 1.5" ]));
     case "elementwise kernel is bit-identical even on many domains" (fun () ->
         let program =
           Runtime.Exec.force_parallel

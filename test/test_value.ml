@@ -3,10 +3,16 @@
 open Fortran_front
 open Sim.Value
 open Util
+module Store = Sim.Store
 
 let arr2 () =
   (* REAL A(2,3) — 6 elements, column major *)
-  { store = alloc Ast.Treal 6; base = 0; bounds = [ (1, 2); (1, 3) ] }
+  { Store.abuf = Store.alloc Ast.Treal 6; base = 0; bounds = [ (1, 2); (1, 3) ] }
+
+let offset = Store.offset
+
+(* the cell of the element at [idxs] *)
+let elem_cell (a : Store.arr) idxs = { Store.cbuf = a.Store.abuf; coff = offset a idxs }
 
 let suite =
   [
@@ -17,15 +23,15 @@ let suite =
         check_int "A(1,2)" 2 (offset a [ 1; 2 ]);
         check_int "A(2,3)" 5 (offset a [ 2; 3 ]));
     case "lower bounds shift offsets" (fun () ->
-        let a = { store = alloc Ast.Treal 6; base = 0; bounds = [ (0, 5) ] } in
+        let a = { Store.abuf = Store.alloc Ast.Treal 6; base = 0; bounds = [ (0, 5) ] } in
         check_int "A(0)" 0 (offset a [ 0 ]);
         check_int "A(5)" 5 (offset a [ 5 ]));
     case "views share storage with a base" (fun () ->
-        let a = { store = alloc Ast.Treal 10; base = 0; bounds = [ (1, 10) ] } in
-        set Ast.Treal (elem_cell a [ 7 ]) (VR 3.5);
+        let a = { Store.abuf = Store.alloc Ast.Treal 10; base = 0; bounds = [ (1, 10) ] } in
+        Store.set_cell (elem_cell a [ 7 ]) (VR 3.5);
         (* a view starting at element 5, reshaped to length 6 *)
-        let v = { store = a.store; base = 4; bounds = [ (1, 6) ] } in
-        check_bool "aliases" true (to_float (get (elem_cell v [ 3 ])) = 3.5));
+        let v = { Store.abuf = a.Store.abuf; base = 4; bounds = [ (1, 6) ] } in
+        check_bool "aliases" true (to_float (Store.get_cell (elem_cell v [ 3 ])) = 3.5));
     case "out-of-storage offsets rejected" (fun () ->
         let a = arr2 () in
         (match offset a [ 3; 3 ] with
