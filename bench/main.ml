@@ -32,6 +32,10 @@ let envs_of ?config ?(interproc = true) (w : Workloads.t) =
       p.Ast.punits
   else List.map (fun u -> Depenv.make ?config u) p.Ast.punits
 
+(* A session focused on a workload's default unit. *)
+let session_of (w : Workloads.t) =
+  Ped.Session.load (Workloads.program w) ~unit_name:(Workloads.main_unit w)
+
 let count_parallel envs =
   List.fold_left
     (fun acc env ->
@@ -48,17 +52,6 @@ let count_loops envs =
   List.fold_left
     (fun acc env -> acc + List.length (Loopnest.loops env.Depenv.nest))
     0 envs
-
-(* Mark every safely parallelizable loop PARALLEL DO in a session. *)
-let auto_parallelize (sess : Ped.Session.t) =
-  List.iter
-    (fun (l : Loopnest.loop) ->
-      let sid = l.Loopnest.lstmt.Ast.sid in
-      if Ped.Session.is_parallelizable sess sid then
-        ignore
-          (Ped.Session.transform sess "parallelize"
-             (Transform.Catalog.On_loop sid)))
-    (Ped.Session.loops sess)
 
 let speedup_at p program =
   let machine = Perf.Machine.with_processors p Perf.Machine.default in
@@ -249,10 +242,7 @@ let table3 () =
       (* +assertions: run the workload's assertion script in a session,
          then count across all units *)
       let with_asserts =
-        let sess =
-          Ped.Session.load (Workloads.program w)
-            ~unit_name:(Workloads.main_unit w)
-        in
+        let sess = session_of w in
         ignore (Ped.Command.script sess w.Workloads.assertion_script);
         List.fold_left
           (fun acc (u : Ast.program_unit) ->
@@ -346,18 +336,10 @@ let table5 () =
   Printf.printf "\n";
   List.iter
     (fun (w : Workloads.t) ->
-      let sess =
-        Ped.Session.load (Workloads.program w)
-          ~unit_name:(Workloads.main_unit w)
+      let program =
+        Ped.Command.auto_parallelize (Workloads.program w)
+          ~script:w.Workloads.assertion_script
       in
-      ignore (Ped.Command.script sess w.Workloads.assertion_script);
-      List.iter
-        (fun (u : Ast.program_unit) ->
-          match Ped.Session.focus sess u.Ast.uname with
-          | Ok () -> auto_parallelize sess
-          | Error _ -> ())
-        (Ped.Session.program sess).Ast.punits;
-      let program = (Ped.Session.program sess) in
       Printf.printf "%-10s" w.Workloads.name;
       List.iter
         (fun p -> Printf.printf " %7.2f" (speedup_at p program))
@@ -411,10 +393,7 @@ let fig2 () =
   List.iter
     (fun name ->
       let w = Option.get (Workloads.by_name name) in
-      let sess =
-        Ped.Session.load (Workloads.program w)
-          ~unit_name:(Workloads.main_unit w)
-      in
+      let sess = session_of w in
       let count filter =
         Ped.Session.set_dep_filter sess filter;
         List.length (Ped.Session.visible_deps sess)
@@ -473,20 +452,14 @@ let fig4 () =
   let study name setup =
     let w = Option.get (Workloads.by_name name) in
     let base =
-      let sess =
-        Ped.Session.load (Workloads.program w)
-          ~unit_name:(Workloads.main_unit w)
-      in
-      auto_parallelize sess;
+      let sess = session_of w in
+      Ped.Session.parallelize_all sess;
       speedup_at 8 (Ped.Session.program sess)
     in
     let transformed =
-      let sess =
-        Ped.Session.load (Workloads.program w)
-          ~unit_name:(Workloads.main_unit w)
-      in
+      let sess = session_of w in
       setup sess;
-      auto_parallelize sess;
+      Ped.Session.parallelize_all sess;
       speedup_at 8 (Ped.Session.program sess)
     in
     (base, transformed)
@@ -554,11 +527,8 @@ let ablation () =
   List.iter
     (fun name ->
       let w = Option.get (Workloads.by_name name) in
-      let sess =
-        Ped.Session.load (Workloads.program w)
-          ~unit_name:(Workloads.main_unit w)
-      in
-      auto_parallelize sess;
+      let sess = session_of w in
+      Ped.Session.parallelize_all sess;
       let program = (Ped.Session.program sess) in
       Printf.printf "%-10s" name;
       List.iter
@@ -637,10 +607,7 @@ let microbench () =
       Test.make ~name:"estimator rank_loops"
         (Staged.stage (fun () -> ignore (Perf.Estimator.rank_loops env)));
       Test.make ~name:"full session load (interproc)"
-        (Staged.stage (fun () ->
-             ignore
-               (Ped.Session.load (Workloads.program w)
-                  ~unit_name:(Workloads.main_unit w))));
+        (Staged.stage (fun () -> ignore (session_of w)));
       Test.make ~name:"simulate matmul"
         (Staged.stage (fun () -> ignore (Sim.Interp.run program)));
       (let prob =
@@ -689,24 +656,6 @@ let microbench () =
 (* ------------------------------------------------------------------ *)
 (* Table 6: predicted vs measured speedup on the multicore runtime     *)
 (* ------------------------------------------------------------------ *)
-
-(* Auto-parallelize every unit of a workload (assertion script first),
-   returning the annotated program — the same pipeline ped --execute
-   uses. *)
-let parallelized_program (w : Workloads.t) =
-  let sess =
-    Ped.Session.load (Workloads.program w) ~unit_name:(Workloads.main_unit w)
-  in
-  List.iter
-    (fun cmd -> ignore (Ped.Command.run sess cmd))
-    w.Workloads.assertion_script;
-  List.iter
-    (fun (u : Ast.program_unit) ->
-      match Ped.Session.focus sess u.Ast.uname with
-      | Ok () -> auto_parallelize sess
-      | Error _ -> ())
-    (Ped.Session.program sess).Ast.punits;
-  (Ped.Session.program sess)
 
 let best_wall ?(reps = 3) ~domains program =
   let best = ref infinity in
@@ -774,7 +723,10 @@ let table6_run ~smoke label =
     List.map
       (fun (w : Workloads.t) ->
         let base = Workloads.program w in
-        let par = parallelized_program w in
+        let par =
+          Ped.Command.auto_parallelize (Workloads.program w)
+            ~script:w.Workloads.assertion_script
+        in
         let sim_base = Sim.Interp.run ~honor_parallel:false base in
         let seq_wall = best_wall ~reps ~domains:1 base in
         let built =
@@ -1303,10 +1255,7 @@ let precision_run ~fuzz_n ~small label =
   let p = Explain.Precision.create () in
   List.iter
     (fun (w : Workloads.t) ->
-      let sess =
-        Ped.Session.load (Workloads.program w)
-          ~unit_name:(Workloads.main_unit w)
-      in
+      let sess = session_of w in
       List.iter
         (fun (u : Ast.program_unit) ->
           match Ped.Session.focus sess u.Ast.uname with
@@ -1562,8 +1511,7 @@ let parscale_env ~nests ~seed_const =
   in
   Depenv.make (List.hd program.Ast.punits)
 
-let ddg_digest (g : Ddg.t) =
-  Digest.to_hex (Digest.string (Marshal.to_string g []))
+let ddg_digest (g : Ddg.t) = Content.to_hex (Content.value g)
 
 let best_of reps f =
   let best = ref infinity in
@@ -2258,13 +2206,8 @@ let kind_slug = function
 (* Parse, auto-parallelize every safe loop (the same pipeline as
    ped --execute), hand back the annotated program. *)
 let diag_parallelized ~name source =
-  let program =
-    Ast.renumber_program (Parser.parse_program ~file:(name ^ ".f") source)
-  in
-  let unit_name = (List.hd program.Ast.punits).Ast.uname in
-  let sess = Ped.Session.load program ~unit_name in
-  auto_parallelize sess;
-  Ped.Session.program sess
+  Ped.Command.auto_parallelize ~script:[]
+    (Ast.renumber_program (Parser.parse_program ~file:(name ^ ".f") source))
 
 let perfdiag_run ~smoke label =
   header

@@ -66,37 +66,11 @@ let run_session sess script ~engine_stats =
 (* ------------------------------------------------------------------ *)
 
 let main_unit_of (program : Ast.program) =
-  match
-    List.find_opt
-      (fun (u : Ast.program_unit) -> u.Ast.kind = Ast.Main)
-      program.Ast.punits
-  with
+  match Ast.default_unit program with
   | Some u -> u.Ast.uname
-  | None -> (List.hd program.Ast.punits).Ast.uname
-
-(* Apply the assertion script, then mark every provably-safe loop of
-   every unit PARALLEL DO — the editor's workflow, automated. *)
-let auto_parallelize ?telemetry (program : Ast.program)
-    (assertion_script : string list) =
-  let sess =
-    Ped.Session.load ?telemetry program ~unit_name:(main_unit_of program)
-  in
-  List.iter (fun cmd -> ignore (Ped.Command.run sess cmd)) assertion_script;
-  List.iter
-    (fun (u : Ast.program_unit) ->
-      match Ped.Session.focus sess u.Ast.uname with
-      | Ok () ->
-        List.iter
-          (fun (l : Dependence.Loopnest.loop) ->
-            let sid = l.Dependence.Loopnest.lstmt.Ast.sid in
-            if Ped.Session.is_parallelizable sess sid then
-              ignore
-                (Ped.Session.transform sess "parallelize"
-                   (Transform.Catalog.On_loop sid)))
-          (Ped.Session.loops sess)
-      | Error _ -> ())
-    (Ped.Session.program sess).Ast.punits;
-  (Ped.Session.program sess)
+  | None ->
+    prerr_endline "error: the program has no units";
+    exit 1
 
 (* The validator's static predictor: a (loop, variable, kind) -> dep id
    map over every unit's dependence graph, so each observed conflict is
@@ -207,7 +181,7 @@ let execute_one name program script ~domains ~schedule ~validate
     ~force_parallel ~backend ~telemetry =
   let par_program =
     if force_parallel then Runtime.Exec.force_parallel program
-    else auto_parallelize ?telemetry program script
+    else Ped.Command.auto_parallelize ?telemetry program ~script
   in
   let n_parallel =
     List.fold_left
@@ -302,7 +276,7 @@ let execute file workload domains schedule validate force_parallel backend
    sequential baseline plus an instrumented parallel run, then the
    detector rules — and print the ranked findings. *)
 let diagnose_one name program script ~domains ~schedule ~backend ~telemetry =
-  let par_program = auto_parallelize ?telemetry program script in
+  let par_program = Ped.Command.auto_parallelize ?telemetry program ~script in
   Printf.printf "%s:\n%!" name;
   if backend = "compiled" then begin
     match Codegen.Compile.build ?telemetry par_program with
@@ -444,49 +418,18 @@ let main file workload unit_name script no_interproc exec domains schedule
             f (Some (Runtime.Pool.analysis_runner pool)))
     in
     with_runner (fun runner ->
+        if file = None && workload = None then begin
+          prerr_endline "give a Fortran file or a workload name (-w)";
+          exit 1
+        end;
+        let _, program, _ = List.hd (targets file workload) in
+        let unit_name =
+          match unit_name with
+          | Some u -> String.uppercase_ascii u
+          | None -> main_unit_of program
+        in
         let sess =
-          match (file, workload) with
-          | Some path, _ ->
-            let program = parse_file path in
-            let unit_name =
-              match unit_name with
-              | Some u -> String.uppercase_ascii u
-              | None -> main_unit_of program
-            in
-            Ped.Session.load ~interproc ?runner ?telemetry:sink program
-              ~unit_name
-          | None, Some wname when Workloads.is_stress_name wname -> (
-            match Workloads.stress wname with
-            | Ok program ->
-              let unit_name =
-                match unit_name with
-                | Some u -> String.uppercase_ascii u
-                | None -> main_unit_of program
-              in
-              Ped.Session.load ~interproc ?runner ?telemetry:sink program
-                ~unit_name
-            | Error e ->
-              prerr_endline e;
-              exit 1)
-          | None, Some wname -> (
-            match Workloads.by_name wname with
-            | Some w ->
-              let unit_name =
-                match unit_name with
-                | Some u -> String.uppercase_ascii u
-                | None -> Workloads.main_unit w
-              in
-              Ped.Session.load ~interproc ?runner ?telemetry:sink
-                (Workloads.program w) ~unit_name
-            | None ->
-              prerr_endline
-                ("unknown workload (available: "
-                ^ String.concat ", " Workloads.names
-                ^ ", stress:PROFILE[@SCALE])");
-              exit 1)
-          | None, None ->
-            prerr_endline "give a Fortran file or a workload name (-w)";
-            exit 1
+          Ped.Session.load ~interproc ?runner ?telemetry:sink program ~unit_name
         in
         (match order with
         | "seq" -> ()
@@ -844,8 +787,8 @@ let serve_main cache_dir cache_mb history_limit analysis_domains trace
 let cache_dir =
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR"
          ~doc:"Persist the shared dependence-test cache here: warmed on \
-               start, saved on exit; a file from another format version is \
-               rejected")
+               start, saved on exit; a file from another format version, or a \
+               damaged one, is rejected")
 
 let cache_mb =
   Arg.(value & opt int 256 & info [ "cache-mb" ] ~docv:"MB"
@@ -966,7 +909,7 @@ let batch_cmd =
 
 let compile_target ~sink ~backend ~out ~keep ~domains ~schedule ~no_run
     (name, program, script) =
-  let par = auto_parallelize ?telemetry:sink program script in
+  let par = Ped.Command.auto_parallelize ?telemetry:sink program ~script in
   let ( let* ) r f = match r with Error e -> Error e | Ok v -> f v in
   let result =
     let* () =

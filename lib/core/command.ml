@@ -522,3 +522,17 @@ let run (t : Session.t) (line : string) : string =
 
 let script t lines =
   List.map (fun line -> Printf.sprintf "ped> %s\n%s" line (run t line)) lines
+
+let auto_parallelize ?telemetry (program : Ast.program) ~script =
+  match Ast.default_unit program with
+  | None -> program
+  | Some main ->
+    let t = Session.load ?telemetry program ~unit_name:main.Ast.uname in
+    List.iter (fun line -> ignore (run t line)) script;
+    List.iter
+      (fun (u : Ast.program_unit) ->
+        match Session.focus t u.Ast.uname with
+        | Ok () -> Session.parallelize_all t
+        | Error _ -> ())
+      (Session.program t).Ast.punits;
+    Session.program t

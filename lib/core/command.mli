@@ -48,3 +48,14 @@ val run : Session.t -> string -> string
 val script : Session.t -> string list -> string list
 
 val help_text : string
+
+(** [auto_parallelize program ~script] — the editor's workflow,
+    automated: load [program] focused on its default unit, run the
+    command lines of [script] (typically assertions), then
+    {!Session.parallelize_all} in every unit.  Returns the annotated
+    program. *)
+val auto_parallelize :
+  ?telemetry:Telemetry.sink ->
+  Fortran_front.Ast.program ->
+  script:string list ->
+  Fortran_front.Ast.program

@@ -101,19 +101,9 @@ let load_source ?config ?interproc ?caching ?sharing ?runner ?history_limit
     ?telemetry ~file src ~unit_name : t =
   let program = Parser.parse_program ~file src in
   let unit_name =
-    match unit_name with
-    | Some n -> n
-    | None -> (
-      match
-        List.find_opt
-          (fun (u : Ast.program_unit) -> u.Ast.kind = Ast.Main)
-          program.Ast.punits
-      with
-      | Some u -> u.Ast.uname
-      | None -> (
-        match program.Ast.punits with
-        | u :: _ -> u.Ast.uname
-        | [] -> invalid_arg "empty program"))
+    match (unit_name, Ast.default_unit program) with
+    | Some n, _ | None, Some { Ast.uname = n; _ } -> n
+    | None, None -> invalid_arg "empty program"
   in
   load ?config ?interproc ?caching ?sharing ?runner ?history_limit ?telemetry
     program ~unit_name
@@ -298,6 +288,14 @@ let transform ?(force = false) t name args =
           Ok (refusal, false)
       end
       else Ok (diag, false))
+
+let parallelize_all t =
+  List.iter
+    (fun (l : Loopnest.loop) ->
+      let sid = l.Loopnest.lstmt.Ast.sid in
+      if is_parallelizable t sid then
+        ignore (transform t "parallelize" (Transform.Catalog.On_loop sid)))
+    (loops t)
 
 let edit_stmt t sid text =
   match Depenv.stmt t.env sid with

@@ -171,6 +171,11 @@ val transform :
   ?force:bool -> t -> string -> Transform.Catalog.args ->
   (Transform.Diagnosis.t * bool, string) result
 
+(** Mark every loop of the focus unit that {!is_parallelizable}
+    reports safe PARALLEL DO — the loops listed before the first
+    change. *)
+val parallelize_all : t -> unit
+
 (** [edit_stmt t sid text] — replace a statement with re-parsed
     [text] (the source pane's editing), then refresh. *)
 val edit_stmt : t -> Ast.stmt_id -> string -> (unit, string) result

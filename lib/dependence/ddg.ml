@@ -227,57 +227,51 @@ let import_cache (s : string) ~(into : cache) : int =
 let shallow_sig (s : Ast.stmt) =
   match s.Ast.node with
   | Ast.Do (h, _) ->
-    Marshal.to_string (s.Ast.sid, h.Ast.dvar, h.Ast.lo, h.Ast.hi, h.Ast.step) []
-  | Ast.If (branches, _) ->
-    Marshal.to_string (s.Ast.sid, List.map fst branches) []
-  | node -> Marshal.to_string (s.Ast.sid, node) []
+    Content.value (s.Ast.sid, h.Ast.dvar, h.Ast.lo, h.Ast.hi, h.Ast.step)
+  | Ast.If (branches, _) -> Content.value (s.Ast.sid, List.map fst branches)
+  | node -> Content.value (s.Ast.sid, node)
 
 (* Scalar facts a group's dependence tests can consume: for every
    scalar used at each statement, its propagated constant and the
    contents of the definitions reaching it (forward substitution and
    symbol cancellation read those). *)
 let group_ctx_sig (env : Depenv.t) (top : Ast.stmt) =
-  let buf = Buffer.create 512 in
-  Ast.iter_stmts
-    (fun s ->
-      let vars =
-        Defuse.uses env.Depenv.ctx s
-        |> List.filter (fun v -> not (Symbol.is_array env.Depenv.tbl v))
-        |> List.sort_uniq String.compare
-      in
-      List.iter
-        (fun v ->
-          Buffer.add_string buf (Printf.sprintf "%d:%s=" s.Ast.sid v);
-          (match Depenv.const_var_at env s.Ast.sid v with
-          | Some n -> Buffer.add_string buf (string_of_int n)
-          | None -> Buffer.add_char buf '?');
-          List.iter
-            (fun (d : Reaching.def) ->
-              match d.Reaching.def_at with
-              | Cfg.Stmt dsid -> (
-                match Depenv.stmt env dsid with
-                | Some ds -> Buffer.add_string buf (shallow_sig ds)
-                | None -> Buffer.add_string buf (Printf.sprintf "@%d" dsid))
-              | Cfg.Entry -> Buffer.add_string buf "@entry"
-              | Cfg.Exit -> Buffer.add_string buf "@exit")
-            (Reaching.defs_of_use env.Depenv.reaching s.Ast.sid v))
-        vars)
-    [ top ];
-  Digest.string (Buffer.contents buf)
+  let def (d : Reaching.def) =
+    match d.Reaching.def_at with
+    | Cfg.Stmt dsid -> (
+      match Depenv.stmt env dsid with
+      | Some ds -> shallow_sig ds
+      | None -> Printf.sprintf "@%d" dsid)
+    | Cfg.Entry -> "@entry"
+    | Cfg.Exit -> "@exit"
+  in
+  let uses acc s =
+    Defuse.uses env.Depenv.ctx s
+    |> List.filter (fun v -> not (Symbol.is_array env.Depenv.tbl v))
+    |> List.sort_uniq String.compare
+    |> List.fold_left
+         (fun acc v ->
+           ( s.Ast.sid,
+             v,
+             Depenv.const_var_at env s.Ast.sid v,
+             List.map def (Reaching.defs_of_use env.Depenv.reaching s.Ast.sid v) )
+           :: acc)
+         acc
+  in
+  Content.value (Ast.fold_stmts uses [] [ top ])
 
 (* Content of a group: its statements (with ids) plus the array side
    effects interprocedural analysis reports for its CALLs. *)
 let group_content_sig (env : Depenv.t) (top : Ast.stmt) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf (Marshal.to_string top [ Marshal.No_sharing ]);
-  Ast.iter_stmts
-    (fun s ->
-      match s.Ast.node with
-      | Ast.Call _ ->
-        Buffer.add_string buf (Marshal.to_string (env.Depenv.call_refs s) [])
-      | _ -> ())
-    [ top ];
-  Digest.string (Buffer.contents buf)
+  let calls =
+    Ast.fold_stmts
+      (fun acc s ->
+        match s.Ast.node with
+        | Ast.Call _ -> Content.value (env.Depenv.call_refs s) :: acc
+        | _ -> acc)
+      [] [ top ]
+  in
+  Content.combine (Content.stmt top :: calls)
 
 (* ------------------------------------------------------------------ *)
 (* Staged graph construction: plan -> test -> assemble                 *)
@@ -351,29 +345,23 @@ let plan ?telemetry ?(keyed = false) (env : Depenv.t) : plan =
          |> List.map (fun r -> r.r_array)
          |> List.sort_uniq String.compare
        in
-       let buf = Buffer.create 128 in
-       Buffer.add_string buf
-         (Marshal.to_string (env.Depenv.config, env.Depenv.asserts) []);
-       List.iter
-         (fun a ->
-           List.iter
-             (fun b ->
-               if String.compare a b < 0 then
-                 Buffer.add_string buf
-                   (match env.Depenv.alias a b with
-                   | `Aligned -> "A"
-                   | `May -> "M"
-                   | `No -> "N"))
-             arrays)
-         arrays;
-       Digest.string (Buffer.contents buf))
+       let aliases =
+         List.concat_map
+           (fun a ->
+             List.filter_map
+               (fun b ->
+                 if String.compare a b < 0 then Some (env.Depenv.alias a b)
+                 else None)
+               arrays)
+           arrays
+       in
+       Content.value (env.Depenv.config, env.Depenv.asserts, aliases))
   in
   let bucket_key g1 g2 =
-    Digest.string
-      (String.concat "|"
-         [ (Lazy.force content_sig).(g1); (Lazy.force content_sig).(g2);
-           (Lazy.force ctx_sig).(g1); (Lazy.force ctx_sig).(g2);
-           Lazy.force global_sig ])
+    Content.combine
+      [ (Lazy.force content_sig).(g1); (Lazy.force content_sig).(g2);
+        (Lazy.force ctx_sig).(g1); (Lazy.force ctx_sig).(g2);
+        Lazy.force global_sig ]
   in
 
   (* ---- enumerate non-empty buckets in canonical order ---- *)

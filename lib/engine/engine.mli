@@ -3,9 +3,9 @@
     The session hands the engine a program and asks it for analysis
     results ({!analysis}); the engine decides what actually needs
     recomputing.  Three cache layers, each guarded by a content
-    fingerprint (MD5 of data marshalled without sharing — the AST is
-    pure data — with each unit's digest memoised by the physical
-    identity of the unit value):
+    fingerprint built by {!Fortran_front.Content} (blind to heap
+    sharing and source locations, with each unit's digest memoised
+    by the physical identity of the unit value):
 
     - {e interprocedural summaries}, keyed by the whole-program
       fingerprint (the digest of the ordered unit digests).  A miss
@@ -37,13 +37,15 @@
 open Fortran_front
 open Dependence
 
-(** The content keys guarding the engine's tables.  Canonical: equal
-    content gives equal keys whatever the heap sharing of the values
-    that carry it. *)
+(** The content keys guarding the engine's tables, all built by
+    {!Fortran_front.Content}.  Canonical: equal content gives equal
+    keys whatever the heap sharing of the values that carry it, the
+    process that built them or the path the source was read from. *)
 module Fingerprint : sig
-  type t = Digest.t
+  type t = Content.t
 
-  (** Digest of the ordered unit digests. *)
+  (** {!Fortran_front.Content.program}: the digest of the ordered
+      unit digests. *)
   val program : Ast.program -> t
 
   (** What a unit's analysis observes of a summary: the call oracle

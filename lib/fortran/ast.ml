@@ -65,6 +65,11 @@ type program_unit = {
 
 type program = { punits : program_unit list }
 
+let default_unit p =
+  match List.find_opt (fun u -> u.kind = Main) p.punits with
+  | Some u -> Some u
+  | None -> List.nth_opt p.punits 0
+
 (* Atomic: the batch/server drivers parse and edit programs from
    several domains at once, and a torn plain-ref increment could hand
    the same id to two statements of one session. *)

@@ -85,6 +85,10 @@ type program_unit = {
 
 type program = { punits : program_unit list }
 
+(** The unit a session focuses when none is named: the main program,
+    else the first unit; [None] for an empty program. *)
+val default_unit : program -> program_unit option
+
 (** {2 Statement-id supply} *)
 
 (** [fresh_sid ()] returns a globally fresh statement id.  The parser

@@ -1,6 +1,6 @@
 open Fortran_front
 
-type stamp = (string, Digest.t) Hashtbl.t
+type stamp = (string, Content.t) Hashtbl.t
 
 type ctx = {
   cg : Callgraph.t;
@@ -17,11 +17,11 @@ let stamp (prog : Ast.program) : stamp =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun (u : Ast.program_unit) ->
-      let d = Unit_digest.of_unit u in
+      let d = Content.unit u in
       (* a repeated unit name: the name stands for all its units *)
       Hashtbl.replace tbl u.Ast.uname
         (match Hashtbl.find_opt tbl u.Ast.uname with
-        | Some d0 -> Digest.string (d0 ^ d)
+        | Some d0 -> Content.combine [ d0; d ]
         | None -> d))
     prog.Ast.punits;
   tbl

@@ -76,8 +76,8 @@ val lines : string -> int
     source it settled on. *)
 val scale_to_lines : ?seed:int -> target:int -> profile -> profile * string
 
-(** MD5 of the renumbered, marshalled program — stable across
-    processes for equal [(seed, profile)]. *)
+(** {!Content.program} of the renumbered program, in hex — stable
+    across processes for equal [(seed, profile)]. *)
 val fingerprint : Ast.program -> string
 
 (** A small, interpretable variant for the fuzz driver (capped units

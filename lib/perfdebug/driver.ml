@@ -13,13 +13,9 @@ type t = {
 }
 
 let main_unit (prog : Ast.program) =
-  match
-    List.find_opt
-      (fun (u : Ast.program_unit) -> u.Ast.kind = Ast.Main)
-      prog.Ast.punits
-  with
+  match Ast.default_unit prog with
   | Some u -> u
-  | None -> List.hd prog.Ast.punits
+  | None -> invalid_arg "Perfdebug.Driver: empty program"
 
 (* Static side of every diagnosis: for each PARALLEL DO, the
    estimator's per-loop promise and the execution plan's

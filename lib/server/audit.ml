@@ -19,7 +19,7 @@ let components =
          (Domain.DLS), so concurrent emission never tears";
     };
     {
-      comp = "Interproc.Unit_digest memo";
+      comp = "Fortran_front.Content unit memo";
       safety = Guarded;
       notes =
         "weak table of per-unit content digests, keyed by physical \

@@ -114,29 +114,6 @@ let is_edit (line : string) =
   | verb :: _ -> List.mem verb [ "edit"; "apply"; "undo"; "redo" ]
   | [] -> false
 
-(* [No_sharing] canonicalizes the bytes: a graph rebuilt through the
-   shared bucket memo carries more internal sharing than a fresh
-   build (equal dependence lists served as one physical value), and
-   the default sharing-aware format would flag structurally equal
-   graphs as different.  The graph is pure acyclic data, so expansion
-   terminates and equal graphs marshal identically. *)
-let digest_ddg ddg =
-  Digest.to_hex (Digest.string (Marshal.to_string ddg [ Marshal.No_sharing ]))
-
-let resolve_unit (program : Ast.program) = function
-  | Some n -> Ok n
-  | None -> (
-    match
-      List.find_opt
-        (fun (u : Ast.program_unit) -> u.Ast.kind = Ast.Main)
-        program.Ast.punits
-    with
-    | Some u -> Ok u.Ast.uname
-    | None -> (
-      match program.Ast.punits with
-      | u :: _ -> Ok u.Ast.uname
-      | [] -> Error "empty program"))
-
 (* Canonical renumbering at open — the same normalization the server
    applies — is what lets two jobs over identical source share cache
    entries, and what makes the from-scratch replay byte-comparable. *)
@@ -146,9 +123,9 @@ let open_job ?sharing ?caching ?runner ~sink ~history_limit (j : job) :
   | Error e -> Error e
   | Ok program -> (
     let program = Ast.renumber_program program in
-    match resolve_unit program j.j_unit with
-    | Error e -> Error e
-    | Ok unit_name -> (
+    match (j.j_unit, Ast.default_unit program) with
+    | None, None -> Error "empty program"
+    | Some unit_name, _ | None, Some { Ast.uname = unit_name; _ } -> (
       match
         Session.load ?sharing ?caching ?runner ~history_limit ~telemetry:sink
           program ~unit_name
@@ -174,7 +151,7 @@ let finish_result (j : job) s ~commands ~edits =
     jr_unit = Session.unit_name s;
     jr_commands = commands;
     jr_edits = edits;
-    jr_ddg_digest = digest_ddg (Session.ddg s);
+    jr_ddg_digest = Content.to_hex (Content.value (Session.ddg s));
     jr_scratch_digest = None;
     jr_error = None;
   }
@@ -258,7 +235,7 @@ let scratch_digest ~sink ~history_limit (j : job) : (string, string) result =
   | Error e -> Error e
   | Ok s -> (
     match List.iter (fun l -> ignore (Command.run s l)) j.j_script with
-    | () -> Ok (digest_ddg (Session.ddg s))
+    | () -> Ok (Content.to_hex (Content.value (Session.ddg s)))
     | exception e -> Error (Printexc.to_string e))
 
 let run ?telemetry ?cache ?(domains = 1) ?(analysis_domains = 1)

@@ -167,9 +167,10 @@ let report t =
 
 (* ---- persistence ---- *)
 
-(* Bump when the on-disk layout changes.  The compiler version is
-   folded in because the payload is Marshal output. *)
-let format_version = "1"
+(* Bump when the on-disk layout or the bucket keys change.  The
+   compiler version is folded in because the payload is Marshal
+   output. *)
+let format_version = "2"
 
 let version_fingerprint () =
   Digest.to_hex
@@ -178,6 +179,13 @@ let version_fingerprint () =
 let magic = "PEDCACHE1"
 let cache_file ~dir = Filename.concat dir "ddg-buckets.pedcache"
 
+(* The payload's length and checksum, verified before a single byte is
+   unmarshalled: [Marshal.from_string] trusts its input, and a damaged
+   payload can crash the process or decode to wrong buckets. *)
+let checksum payload =
+  Printf.sprintf "%d %s" (String.length payload)
+    (Digest.to_hex (Digest.string payload))
+
 let save t ~dir : (int, string) result =
   match
     let payload = locked t (fun () -> Ddg.export_cache t.buckets) in
@@ -185,9 +193,9 @@ let save t ~dir : (int, string) result =
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     let file = cache_file ~dir in
     Out_channel.with_open_bin file (fun oc ->
-        Out_channel.output_string oc (magic ^ "\n");
-        Out_channel.output_string oc (version_fingerprint () ^ "\n");
-        Out_channel.output_string oc payload);
+        Out_channel.output_string oc
+          (String.concat "\n"
+             [ magic; version_fingerprint (); checksum payload; payload ]));
     count
   with
   | count -> Ok count
@@ -195,27 +203,28 @@ let save t ~dir : (int, string) result =
 
 let load t ~dir : (int, string) result =
   let file = cache_file ~dir in
+  let reject fmt = Printf.ksprintf (fun m -> Error (file ^ ": " ^ m)) fmt in
   if not (Sys.file_exists file) then Ok 0
   else
     match In_channel.with_open_bin file In_channel.input_all with
     | exception Sys_error e -> Error e
     | raw -> (
-      match String.split_on_char '\n' raw with
-      | m :: _ when m <> magic ->
-        Error (Printf.sprintf "%s: not a ped cache file" file)
-      | _ :: fp :: _ when fp <> version_fingerprint () ->
-        Error
-          (Printf.sprintf
-             "%s: format fingerprint %s does not match this binary's %s; \
-              cache rejected"
-             file fp
-             (version_fingerprint ()))
-      | _ :: fp :: _ -> (
-        let header = String.length magic + 1 + String.length fp + 1 in
-        let payload = String.sub raw header (String.length raw - header) in
-        match
-          locked t (fun () -> Ddg.import_cache payload ~into:t.buckets)
-        with
-        | added -> Ok added
-        | exception _ -> Error (Printf.sprintf "%s: corrupt payload" file))
-      | _ -> Error (Printf.sprintf "%s: truncated header" file))
+      (* three header lines (missing ones read as empty), then the payload *)
+      match
+        Scanf.sscanf raw "%s@\n%s@\n%s@\n%n" (fun m fp sum n -> (m, fp, sum, n))
+      with
+      | m, _, _, _ when m <> magic -> reject "not a ped cache file"
+      | _, fp, _, _ when fp <> version_fingerprint () ->
+        reject
+          "format fingerprint %s does not match this binary's %s; cache \
+           rejected"
+          fp (version_fingerprint ())
+      | _, _, sum, start -> (
+        let payload = String.sub raw start (String.length raw - start) in
+        if sum <> checksum payload then
+          reject "payload does not match its length and checksum; \
+                  cache rejected"
+        else
+          match locked t (fun () -> Ddg.import_cache payload ~into:t.buckets) with
+          | added -> Ok added
+          | exception _ -> reject "corrupt payload"))

@@ -19,10 +19,14 @@
 
     A cache can be persisted across processes ({!save}/{!load}).
     Only the dependence-test bucket memo is written — it is pure
-    data, where summaries and scalar environments carry closures —
-    and the file is guarded by a format fingerprint (layout version +
-    compiler version), so a stale or foreign file is rejected rather
-    than misread. *)
+    data, where summaries and scalar environments carry closures.
+    Its keys are {!Fortran_front.Content} digests, blind to source
+    paths and line numbers, so a saved memo still serves a checkout
+    that moved or a file that gained a comment line.  The header
+    carries a format fingerprint (layout version + compiler version)
+    and the payload's length and checksum; {!load} checks both before
+    it unmarshals anything, so a stale, foreign, truncated or damaged
+    file is rejected rather than misread. *)
 
 open Dependence
 
@@ -79,14 +83,15 @@ val report : t -> string
 val cache_file : dir:string -> string
 
 (** [save t ~dir] — write the bucket memo to [dir] (created if
-    missing), guarded by the format fingerprint.  Returns the number
-    of buckets written. *)
+    missing), guarded by the format fingerprint and the payload's
+    length and checksum.  Returns the number of buckets written. *)
 val save : t -> dir:string -> (int, string) result
 
 (** [load t ~dir] — merge a previously saved bucket memo into [t].
     Returns the number of buckets added; [Ok 0] when no cache file
     exists.  A file whose format fingerprint does not match this
-    binary's is rejected with [Error] and left unread. *)
+    binary's, or whose payload does not match the length and checksum
+    in its header, is rejected with [Error] and left unread. *)
 val load : t -> dir:string -> (int, string) result
 
 (** The format fingerprint {!save} stamps and {!load} verifies

@@ -32,22 +32,6 @@ let sessions t =
 
 let find_session t id = Hashtbl.find_opt t.sessions id
 
-(* Same default-unit rule as Session.load_source: the main program,
-   else the first unit. *)
-let resolve_unit (program : Ast.program) = function
-  | Some n -> Ok n
-  | None -> (
-    match
-      List.find_opt
-        (fun (u : Ast.program_unit) -> u.Ast.kind = Ast.Main)
-        program.Ast.punits
-    with
-    | Some u -> Ok u.Ast.uname
-    | None -> (
-      match program.Ast.punits with
-      | u :: _ -> Ok u.Ast.uname
-      | [] -> Error "empty program"))
-
 let open_session t ~id ~file ~source ~unit_name =
   if Hashtbl.mem t.sessions id then
     Error (Printf.sprintf "session %s is already open" id)
@@ -59,9 +43,9 @@ let open_session t ~id ~file ~source ~unit_name =
          two processes) now fingerprints identically, so the shared
          cache actually dedups their work. *)
       let program = Ast.renumber_program program in
-      match resolve_unit program unit_name with
-      | Error e -> Error e
-      | Ok unit_name -> (
+      match (unit_name, Ast.default_unit program) with
+      | None, None -> Error "empty program"
+      | Some unit_name, _ | None, Some { Ast.uname = unit_name; _ } -> (
         match
           Session.load ~sharing:(Cache.sharing t.cache) ?runner:t.runner
             ~history_limit:t.history_limit ~telemetry:t.sink program

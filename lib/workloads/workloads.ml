@@ -844,10 +844,6 @@ let stress ?(seed = 42) name =
         Ok (Oracle.Stress.generate ~seed p))
 
 let main_unit w =
-  let p = program w in
-  match
-    List.find_opt (fun (u : Ast.program_unit) -> u.Ast.kind = Ast.Main)
-      p.Ast.punits
-  with
+  match Ast.default_unit (program w) with
   | Some u -> u.Ast.uname
-  | None -> (List.hd p.Ast.punits).Ast.uname
+  | None -> invalid_arg ("Workloads.main_unit: empty program " ^ w.name)

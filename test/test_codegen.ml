@@ -18,30 +18,7 @@ let toolchain_available = Result.is_ok (Codegen.Toolchain.find ())
 (* Auto-parallelize every approved loop of every unit — the program
    shape ped compile feeds the pipeline. *)
 let auto_par (program : Ast.program) =
-  let unit_name =
-    match
-      List.find_opt
-        (fun (u : Ast.program_unit) -> u.Ast.kind = Ast.Main)
-        program.Ast.punits
-    with
-    | Some u -> u.Ast.uname
-    | None -> (List.hd program.Ast.punits).Ast.uname
-  in
-  let sess = Ped.Session.load program ~unit_name in
-  List.iter
-    (fun (u : Ast.program_unit) ->
-      match Ped.Session.focus sess u.Ast.uname with
-      | Ok () ->
-        List.iter
-          (fun (l : Dependence.Loopnest.loop) ->
-            if Ped.Session.is_parallelizable sess (loop_sid l) then
-              ignore
-                (Ped.Session.transform sess "parallelize"
-                   (Transform.Catalog.On_loop (loop_sid l))))
-          (Ped.Session.loops sess)
-      | Error _ -> ())
-    (Ped.Session.program sess).Ast.punits;
-  Ped.Session.program sess
+  Ped.Command.auto_parallelize program ~script:[]
 
 let skip_or_fail name = function
   | Codegen.Compile.Toolchain m ->

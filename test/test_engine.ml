@@ -17,6 +17,84 @@ let load ?(caching = true) name =
   (w, Ped.Session.load ~caching (Workloads.program w)
         ~unit_name:(Workloads.main_unit w))
 
+(* The unit with every repeated subexpression physically shared. *)
+let hash_cons (u : Ast.program_unit) : Ast.program_unit =
+  let seen = Hashtbl.create 64 in
+  let rec hc (e : Ast.expr) =
+    let e =
+      match e with
+      | Ast.Index (n, es) -> Ast.Index (n, List.map hc es)
+      | Ast.Bin (op, a, b) -> Ast.Bin (op, hc a, hc b)
+      | Ast.Un (op, a) -> Ast.Un (op, hc a)
+      | e -> e
+    in
+    match Hashtbl.find_opt seen e with
+    | Some e' -> e'
+    | None ->
+      Hashtbl.add seen e e;
+      e
+  in
+  let node : Ast.stmt_node -> Ast.stmt_node = function
+    | Ast.Assign (l, r) -> Ast.Assign (hc l, hc r)
+    | Ast.If (bs, els) -> Ast.If (List.map (fun (c, b) -> (hc c, b)) bs, els)
+    | Ast.Do (h, b) ->
+      Ast.Do
+        ( { h with Ast.lo = hc h.Ast.lo; hi = hc h.Ast.hi;
+            step = Option.map hc h.Ast.step },
+          b )
+    | Ast.Call (n, args) -> Ast.Call (n, List.map hc args)
+    | Ast.Print es -> Ast.Print (List.map hc es)
+    | n -> n
+  in
+  {
+    u with
+    Ast.decls =
+      List.map
+        (fun (d : Ast.decl) ->
+          { d with Ast.dims = List.map (fun (lo, hi) -> (hc lo, hc hi)) d.Ast.dims })
+        u.Ast.decls;
+    body = Ast.map_stmts (fun s -> { s with Ast.node = node s.Ast.node }) u.Ast.body;
+  }
+
+(* One-change variants of a unit: a statement's id, label or
+   expression (the last statement of the last DO body, else the last
+   statement), and a declaration. *)
+let mutants (u : Ast.program_unit) =
+  let last_of = Ast.fold_stmts (fun _ s -> Some s.Ast.sid) in
+  let last =
+    Ast.fold_stmts
+      (fun acc s ->
+        match s.Ast.node with Ast.Do (_, b) -> last_of acc b | _ -> acc)
+      (last_of None u.Ast.body) u.Ast.body
+  in
+  let at f =
+    {
+      u with
+      Ast.body =
+        Ast.map_stmts
+          (fun s -> if Some s.Ast.sid = last then f s else s)
+          u.Ast.body;
+    }
+  in
+  let expr (s : Ast.stmt) =
+    match s.Ast.node with
+    | Ast.Assign (l, r) -> { s with Ast.node = Ast.Assign (l, Ast.add r (Ast.int_ 1)) }
+    | _ -> { s with Ast.node = Ast.Print [ Ast.Str "changed" ] }
+  in
+  [
+    ("sid", at (fun s -> { s with Ast.sid = s.Ast.sid + 100_000 }));
+    ("label", at (fun s -> { s with Ast.label = Some 99_999 }));
+    ("expression", expr |> at);
+    ( "decl",
+      {
+        u with
+        Ast.decls =
+          { Ast.dname = "ZZKEY"; dtyp = Ast.Tinteger; dims = []; init = None;
+            data_init = None; common_block = None }
+          :: u.Ast.decls;
+      } );
+  ]
+
 let focus_unit_of sess =
   let name = Ped.Session.unit_name sess in
   List.find
@@ -260,7 +338,40 @@ let suite =
                     (f = Engine.Fingerprint.interproc_facet updated u);
                   check_bool (what ^ ": analysis key of copies") true
                     (key summary u asserts = key summary' u' (copy asserts)))
-                p.Ast.punits)
+                p.Ast.punits;
+              (* the same source under another path, one line lower *)
+              let p = Ast.renumber_program p in
+              let relocated =
+                Ast.renumber_program
+                  (Parser.parse_program ~file:"elsewhere/moved.f"
+                     ("C     a new first line\n" ^ w.Workloads.source))
+              in
+              let summary = Interproc.Summary.analyze p in
+              let summary_r = Interproc.Summary.analyze relocated in
+              check_bool (w.Workloads.name ^ ": program key of relocated") true
+                (Engine.Fingerprint.program p
+                = Engine.Fingerprint.program relocated);
+              let words v = Obj.reachable_words (Obj.repr v) in
+              check_bool (w.Workloads.name ^ ": hash-consing shares") true
+                (words { Ast.punits = List.map hash_cons p.Ast.punits }
+                < words (copy p));
+              List.iter2
+                (fun (u : Ast.program_unit) (r : Ast.program_unit) ->
+                  let what = w.Workloads.name ^ "/" ^ u.Ast.uname in
+                  check_bool (what ^ ": analysis key of relocated") true
+                    (key summary u asserts = key summary_r r asserts);
+                  check_bool (what ^ ": analysis key of shared") true
+                    (key summary u asserts = key summary (hash_cons u) asserts);
+                  List.iter
+                    (fun (change, u2) ->
+                      check_bool (what ^ ": " ^ change ^ " changes the key")
+                        false
+                        (Engine.Fingerprint.analysis_key
+                           ~config:Depenv.full_config ~asserts ~facet:None u
+                        = Engine.Fingerprint.analysis_key
+                            ~config:Depenv.full_config ~asserts ~facet:None u2))
+                    (mutants u))
+                p.Ast.punits relocated.Ast.punits)
             Workloads.all);
       case "baseline mode recomputes everything" (fun () ->
           let _, sess = load ~caching:false "matmul" in

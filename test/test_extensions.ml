@@ -67,13 +67,7 @@ let suite =
           Ped.Session.load (Workloads.program w)
             ~unit_name:(Workloads.main_unit w)
         in
-        List.iter
-          (fun (l : Loopnest.loop) ->
-            if Ped.Session.is_parallelizable sess (loop_sid l) then
-              ignore
-                (Ped.Session.transform sess "parallelize"
-                   (Transform.Catalog.On_loop (loop_sid l))))
-          (Ped.Session.loops sess);
+        Ped.Session.parallelize_all sess;
         let p = (Ped.Session.program sess) in
         let a = Sim.Interp.run ~par_order:Sim.Interp.Seq p in
         let b = Sim.Interp.run ~par_order:Sim.Interp.Reverse p in

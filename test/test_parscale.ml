@@ -13,12 +13,10 @@ open Fortran_front
 open Dependence
 open Util
 
-(* Content bytes, blind to heap sharing: a bucket replayed from a
-   shared cache is the same data as a freshly computed one, but it may
-   be shared differently, which would change a sharing-preserving
-   marshal. *)
-let digest (g : Ddg.t) =
-  Digest.to_hex (Digest.string (Marshal.to_string g [ Marshal.No_sharing ]))
+(* Blind to heap sharing: a bucket replayed from a shared cache is the
+   same data as a freshly computed one, but it may be shared
+   differently. *)
+let digest (g : Ddg.t) = Content.to_hex (Content.value g)
 
 (* Every unit of a workload, with the same interprocedural
    environments the engine serves. *)

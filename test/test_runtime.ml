@@ -8,26 +8,8 @@ open Util
 (* Auto-parallelize every unit of a workload (assertion script first)
    — the same pipeline ped --execute uses. *)
 let parallelized (w : Workloads.t) =
-  let sess =
-    Ped.Session.load (Workloads.program w) ~unit_name:(Workloads.main_unit w)
-  in
-  List.iter
-    (fun cmd -> ignore (Ped.Command.run sess cmd))
-    w.Workloads.assertion_script;
-  List.iter
-    (fun (u : Ast.program_unit) ->
-      match Ped.Session.focus sess u.Ast.uname with
-      | Ok () ->
-        List.iter
-          (fun (l : Dependence.Loopnest.loop) ->
-            if Ped.Session.is_parallelizable sess (loop_sid l) then
-              ignore
-                (Ped.Session.transform sess "parallelize"
-                   (Transform.Catalog.On_loop (loop_sid l))))
-          (Ped.Session.loops sess)
-      | Error _ -> ())
-    (Ped.Session.program sess).Ast.punits;
-  (Ped.Session.program sess)
+  Ped.Command.auto_parallelize (Workloads.program w)
+    ~script:w.Workloads.assertion_script
 
 let seq_reference program = Sim.Interp.run ~honor_parallel:false program
 

@@ -259,6 +259,31 @@ let version_mismatch_rejected () =
   (match Server.Cache.load (Server.Cache.create ()) ~dir with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "stale fingerprint accepted");
+  (* a damaged payload is rejected before it is unmarshalled: one
+     flipped bit in the middle, or the last bytes cut off *)
+  let header_end =
+    let nl i = String.index_from contents i '\n' + 1 in
+    nl (nl (nl 0))
+  in
+  let payload_len = String.length contents - header_end in
+  check_bool "payload written" true (payload_len > 16);
+  let damaged what file_contents =
+    write_file file file_contents;
+    match Server.Cache.load (Server.Cache.create ()) ~dir with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail (what ^ " accepted")
+  in
+  let b = Bytes.of_string contents in
+  let at = header_end + (payload_len / 2) in
+  Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x10));
+  damaged "flipped payload byte" (Bytes.to_string b);
+  damaged "truncated payload"
+    (String.sub contents 0 (String.length contents - 8));
+  (* the undamaged file still loads *)
+  write_file file contents;
+  (match Server.Cache.load (Server.Cache.create ()) ~dir with
+  | Ok n -> check_bool "intact file loads" true (n > 0)
+  | Error e -> Alcotest.fail e);
   (* a foreign file (wrong magic) is rejected too *)
   write_file file "NOTACACHE\njunk\n";
   match Server.Cache.load (Server.Cache.create ()) ~dir with
@@ -440,12 +465,43 @@ let serve_lanes_in_trace () =
 (* --- canonical renumbering ---------------------------------------- *)
 
 let renumbering_is_canonical () =
-  let digest p = Digest.to_hex (Digest.string (Marshal.to_string p [])) in
+  let digest p = Content.to_hex (Content.value p) in
   (* two independent parses normalize to the same ids — the property
      cross-process fingerprint equality rests on *)
   check_string "same source, same canonical form"
     (digest (renumbered "callnest"))
     (digest (renumbered "callnest"))
+
+(* Cache keys ignore source locations: the same source opened from
+   another directory, or shifted down by a comment line, is served
+   from the first session's results. *)
+let keys_ignore_paths_and_lines () =
+  let w = workload "callnest" in
+  let server = Server.Serve.create () in
+  (* every session counts into the server's one sink *)
+  let count name =
+    Telemetry.value (Telemetry.counter (Server.Serve.telemetry server) name)
+  in
+  let opened id src =
+    let dir = fresh_dir () in
+    Sys.mkdir dir 0o755;
+    let file = Filename.concat dir "k.f" in
+    write_file file src;
+    let hits0 = count "engine.env_hits" and tests0 = count "ddg.tests_executed" in
+    let handle req = ok_exn id (Server.Serve.handle server req) in
+    ignore (handle (Server.Protocol.Open { rsid = id; file; unit_name = None }));
+    ignore (handle (Server.Protocol.Cmd { rsid = id; line = "deps" }));
+    (count "engine.env_hits" - hits0, count "ddg.tests_executed" - tests0)
+  in
+  let _, tests = opened "first" w.Workloads.source in
+  check_bool "first session runs pair tests" true (tests > 0);
+  List.iter
+    (fun (id, src) ->
+      let hits, tests = opened id src in
+      check_bool (id ^ ": unit analyses hit") true (hits > 0);
+      check_int (id ^ ": no pair test run") 0 tests)
+    [ ("moved", w.Workloads.source);
+      ("shifted", "C     a new first line\n" ^ w.Workloads.source) ]
 
 (* --- the batch driver ---------------------------------------------- *)
 
@@ -539,6 +595,8 @@ let suite =
       serve_lanes_in_trace;
     case "ast: renumbering is canonical across parses"
       renumbering_is_canonical;
+    case "serve: keys ignore the source path and line numbers"
+      keys_ignore_paths_and_lines;
     case "batch: interleaved sharing stays byte-identical"
       batch_interleaved_identical;
     case "batch: partitioned across domains stays byte-identical"
